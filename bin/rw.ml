@@ -4,7 +4,6 @@
      rw query --kb FILE --query FORMULA [--engine ENGINE] [--json]
      rw batch --kb FILE [--queries FILE] [--json]
      rw serve [--kb FILE] [--cache N] [--budget S] [--store PATH] [--jobs N]
-     rw session --kb FILE --script FILE [--explain] [--store PATH]
      rw compile --kb FILE [--json]
      rw store (stats|verify|compact) PATH
      rw consistent --kb FILE
@@ -639,160 +638,6 @@ let client_cmd =
   Cmd.v
     (Cmd.info "client" ~doc ~man ~exits:common_exits)
     Term.(const run_client $ addr_arg $ retry_arg)
-
-(* ------------------------------------------------------------------ *)
-(* session                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A scripted belief-change session: load one KB, then run a script of
-   assert / retract / query / log / stats lines through the very same
-   request handler the serve loop uses, printing one NDJSON reply per
-   line. The script syntax is deliberately thin sugar over the
-   protocol — anything it can do, a serve client can do too. *)
-let session_request_of_line ~explain line =
-  let module J = Rw_service.Json in
-  let cmd, rest =
-    match String.index_opt line ' ' with
-    | None -> (line, "")
-    | Some i ->
-      ( String.sub line 0 i,
-        String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
-  in
-  match (cmd, rest) with
-  | ("assert" | "retract"), "" ->
-    Error (Printf.sprintf "%s needs a formula" cmd)
-  | ("assert" | "retract"), src ->
-    Ok
-      (J.Obj
-         [
-           ("op", J.String "session_update");
-           ("action", J.String cmd);
-           ("src", J.String src);
-         ])
-  | "query", "" -> Error "query needs a formula"
-  | "query", src ->
-    Ok
-      (J.Obj
-         ([ ("op", J.String "query"); ("query", J.String src) ]
-         @ if explain then [ ("explain", J.Bool true) ] else []))
-  | "log", "" -> Ok (J.Obj [ ("op", J.String "session_log") ])
-  | "stats", "" -> Ok (J.Obj [ ("op", J.String "stats") ])
-  | _ ->
-    Error
-      (Printf.sprintf
-         "unknown session script line %S (expected: assert F | retract F | \
-          query F | log | stats)"
-         line)
-
-let run_session kb_path script_path cache_size budget no_compiled store_path
-    explain verbose =
-  Logs.set_reporter (Logs_fmt.reporter ~app:Fmt.stderr ~dst:Fmt.stderr ());
-  Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning));
-  let store =
-    match store_path with
-    | None -> Ok None
-    | Some path -> (
-      match Rw_store.Store.open_ path with
-      | Error msg -> Error (path, msg)
-      | Ok (store, _report) -> Ok (Some store))
-  in
-  match store with
-  | Error (path, msg) ->
-    Fmt.epr "error opening store %s: %s@." path msg;
-    exit_kb_error
-  | Ok store -> (
-    let svc =
-      Rw_service.Service.create
-        ~config:(service_config ~no_compiled cache_size budget)
-        ?store ()
-    in
-    let finish code =
-      Option.iter Rw_store.Store.close store;
-      code
-    in
-    match Rw_service.Service.load_kb_file svc kb_path with
-    | Error msg ->
-      Fmt.epr "error loading %s:@.%s@." kb_path msg;
-      finish exit_kb_error
-    | Ok () -> (
-      match
-        In_channel.with_open_text script_path In_channel.input_lines
-      with
-      | exception Sys_error msg ->
-        Fmt.epr "error reading script: %s@." msg;
-        finish exit_kb_error
-      | lines ->
-        let failures = ref 0 in
-        let emit reply =
-          (match Rw_service.Json.member "ok" reply with
-          | Some (Rw_service.Json.Bool true) -> ()
-          | _ -> incr failures);
-          print_endline (Rw_service.Json.to_string reply)
-        in
-        List.iter
-          (fun line ->
-            let line = String.trim line in
-            if line <> "" && line.[0] <> '#' then
-              match session_request_of_line ~explain line with
-              | Error msg -> emit (Rw_service.Protocol.error_reply msg)
-              | Ok req -> (
-                match
-                  Rw_service.Server.handle_line svc
-                    (Rw_service.Json.to_string req)
-                with
-                | `Reply reply | `Quit reply -> emit reply))
-          lines;
-        finish (if !failures > 0 then exit_query_error else 0)))
-
-let session_cmd =
-  let doc = "run a scripted belief-change session against one live KB" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Loads a knowledge base, then executes a script of belief changes \
-         and queries against the $(i,same) service instance, one NDJSON \
-         reply per line on stdout. Script lines: $(b,assert FORMULA), \
-         $(b,retract FORMULA) (incremental KB updates with delta-aware \
-         cache invalidation — answers untouched by the delta survive, \
-         re-keyed to the new KB digest), $(b,query FORMULA), $(b,log) (the \
-         session's mutation history) and $(b,stats); '#' comments and \
-         blank lines are skipped.";
-      `P
-        "With $(b,--explain), query replies carry their derivation trace — \
-         a cached answer that survived an update shows a \
-         $(b,revalidated) provenance fact; a recomputed one a cache \
-         $(b,miss). With $(b,--store), answers (including revalidated \
-         re-keys) persist across sessions.";
-      `P
-        "Example script: printf 'query Hep(Eric)\\nassert Jaun(Dana)\\nquery \
-         Hep(Eric)\\nlog\\n' > s.rws; rw session --kb \
-         examples/kb/hepatitis.kb --script s.rws";
-    ]
-  in
-  let script_arg =
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "script" ] ~docv:"FILE"
-          ~doc:
-            "Session script: assert/retract/query/log/stats lines ('#' \
-             comments and blank lines skipped).")
-  in
-  let session_explain_arg =
-    Arg.(
-      value & flag
-      & info [ "explain" ]
-          ~doc:
-            "Attach derivation traces to query replies — revalidated \
-             cache survivors are visible as $(b,revalidated) facts.")
-  in
-  Cmd.v
-    (Cmd.info "session" ~doc ~man ~exits:common_exits)
-    Term.(
-      const run_session $ kb_arg $ script_arg $ cache_arg $ budget_arg
-      $ no_compiled_arg $ store_path_opt_arg $ session_explain_arg
-      $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)
 (* compile                                                            *)
@@ -1481,7 +1326,7 @@ let () =
       Cmd.eval'
         (Cmd.group info
            [
-             query_cmd; batch_cmd; serve_cmd; client_cmd; session_cmd;
+             query_cmd; batch_cmd; serve_cmd; client_cmd;
              compile_cmd; store_cmd; consistent_cmd; series_cmd; zoo_cmd;
              parse_cmd; fuzz_cmd; sim_cmd;
            ])

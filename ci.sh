@@ -224,6 +224,26 @@ case $warm in
 esac
 rm -rf "$listen_dir"
 
+# One budget mechanism on every serve path: a maxent-heavy query
+# (~1 s of solver time unbudgeted) under a 50 ms budget must degrade
+# over --listen, where every dispatch runs on a pool worker, exactly
+# as it does over stdin/stdout.
+budget_dir=$(mktemp -d)
+_build/default/bin/rw.exe serve --listen "$budget_dir/rw.sock" --jobs 1 \
+  --budget 0.05 --kb examples/kb/broken_arm.kb 2> /dev/null &
+budget_pid=$!
+budget_reply=$(echo '{"op":"query","query":"LUsable(Eric)"}' \
+  | _build/default/bin/rw.exe client "$budget_dir/rw.sock" --retry 10) \
+  || budget_reply="client failed"
+kill "$budget_pid"
+wait "$budget_pid" 2> /dev/null || true
+rm -rf "$budget_dir"
+case $budget_reply in
+  *'"tier":"degraded"'*) ;;
+  *) echo "ci: --listen did not degrade an expired budget: $budget_reply" >&2
+     exit 1 ;;
+esac
+
 # The simulated face of the batch/pool surface: a rejected parallel
 # fan-out must fail atomically and a sequential retry must answer —
 # replayed from the pinned corpus case.

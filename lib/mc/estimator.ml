@@ -153,7 +153,9 @@ let tilted_proposal ?solve ~(vocab : Vocab.t) ~tol kb =
             +. (uniform_mix /. float_of_int a))
       in
       Some (Sampler.proposal ~preds:(Atoms.predicates u) ~theta)
-    with _ -> None
+    with
+    | Rw_pool.Budget.Expired as e -> raise e
+    | _ -> None
   end
 
 (* ------------------------------------------------------------------ *)
@@ -224,8 +226,7 @@ let estimate ?(config = default_config) ?pool ?tilt_solve ~seed ~vocab ~n ~tol
   let proposal = ref None and acc = ref uniform_acc in
   (* One chunk, runnable on any domain: private generator, private
      scratch world, private accumulator. [Budget.check] keeps service
-     deadlines enforceable on worker domains, where SIGALRM cannot
-     reach. *)
+     deadlines enforceable on whichever domain runs the chunk. *)
   let run_chunk (size, rng, prop) =
     let world = World.create vocab n in
     let a = fresh_accum () in

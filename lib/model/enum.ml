@@ -71,8 +71,7 @@ let iter_worlds ?(max_log10_worlds = 8.0) vocab n f =
     in
     (* Odometer recursion over the cells. The per-world budget poll
        keeps service deadlines enforceable inside multi-million-world
-       enumerations, including on pool worker domains where the alarm
-       signal cannot reach. *)
+       enumerations, on whichever domain runs them. *)
     let rec go = function
       | [] ->
         Rw_pool.Budget.check ();

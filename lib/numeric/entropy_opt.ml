@@ -89,6 +89,9 @@ let inner_solve cs lambdas rho p0 ~max_iters ~tol =
   let rec go p fp step0 iters =
     if iters >= max_iters then (p, iters)
     else begin
+      (* The service's request budget: the solve is the costliest step
+         of a maxent dispatch, so it polls like the other engines. *)
+      Rw_pool.Budget.check ();
       let grad = objective_grad cs lambdas rho p in
       let rec backtrack step =
         if step < 1e-14 then None
@@ -195,6 +198,7 @@ let solve_via_dual ~dim cs =
       let rec go lambda fl step0 iters =
         if iters >= 20000 then (lambda, iters)
         else begin
+          Rw_pool.Budget.check ();
           let g = dual_grad lambda in
           let rec backtrack step =
             if step < 1e-16 then None

@@ -3,13 +3,16 @@
 exception Expired
 
 (* The tick counter amortises the clock read: with a deadline armed,
-   only every 64th poll pays for [gettimeofday]. Engines poll from
-   per-sample loops whose bodies cost microseconds, so expiry is
-   noticed within a few dozen samples. *)
+   only every 64th poll reads the clock. Engines poll from per-sample
+   loops whose bodies cost microseconds, so expiry is noticed within a
+   few dozen samples. *)
 type state = { mutable deadline : float option; mutable tick : int }
 
 let key : state Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { deadline = None; tick = 0 })
+
+(* Seconds on CLOCK_MONOTONIC: immune to wall-clock steps. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let check () =
   let st = Domain.DLS.get key in
@@ -17,7 +20,7 @@ let check () =
   | None -> ()
   | Some d ->
     st.tick <- st.tick + 1;
-    if st.tick land 63 = 0 && Unix.gettimeofday () > d then raise Expired
+    if st.tick land 63 = 0 && now () > d then raise Expired
 
 let current () = (Domain.DLS.get key).deadline
 
@@ -38,4 +41,4 @@ let with_inherited d f =
     Fun.protect ~finally:(fun () -> st.deadline <- saved) f
 
 let with_deadline ~seconds f =
-  with_inherited (Some (Unix.gettimeofday () +. seconds)) f
+  with_inherited (Some (now () +. seconds)) f

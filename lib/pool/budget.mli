@@ -1,27 +1,29 @@
-(** Cooperative wall-clock budgets for worker domains.
+(** Cooperative request budgets: the one budget mechanism of the
+    service.
 
-    The service's original budget mechanism is a [SIGALRM] timer whose
-    handler raises from the next allocation point. Signals are
-    delivered to the {e process} and handled by whichever domain the
-    runtime picks — they cannot preempt a specific worker domain, so
-    under a domain pool an alarm-based budget silently stops firing
-    where the work actually runs.
+    A budget is an absolute deadline stored in domain-local state and
+    polled explicitly ({!check}) from the engines' inner loops — the
+    maxent solver's iterations, the profile counter, world
+    enumeration and Monte-Carlo sampling. Expiry is noticed at the
+    next poll and raises {!Expired}, which unwinds to whoever
+    installed the deadline. Nothing is preemptive: code that never
+    polls runs to completion regardless of the deadline.
 
-    This module is the domain-safe replacement: an absolute deadline
-    stored in domain-local state, polled explicitly ({!check}) from
-    the engines' inner sampling/enumeration loops. Expiry raises
-    {!Expired}, which unwinds to whoever installed the deadline — the
-    same control flow as the alarm, minus the signal.
+    Deadlines are read from the monotonic clock, so a wall-clock step
+    (NTP, a manual [date]) can neither fire nor postpone a budget.
 
     Deadlines nest by narrowing: an inner [with_deadline] can only
     shorten the time left, never extend an enclosing budget.
 
-    {!Pool.map} propagates the submitting domain's deadline into every
-    task it runs, so a budget installed on the coordinating domain
-    bounds the whole fan-out. *)
+    {!Pool.map} and {!Pool.async} propagate the submitting domain's
+    deadline into every task they run, so a budget installed on the
+    coordinating domain bounds the whole fan-out, and the same budget
+    holds whichever domain ends up running the work. *)
 
 exception Expired
-(** Raised by {!check} once the current deadline has passed. *)
+(** Raised by {!check} once the current deadline has passed. Code
+    with catch-all handlers between a poll and the deadline's
+    installer must re-raise it. *)
 
 val check : unit -> unit
 (** Poll the current domain's deadline; raises {!Expired} when it has
@@ -37,9 +39,10 @@ val with_deadline : seconds:float -> (unit -> 'a) -> 'a
     through {!check}: cooperative, not preemptive. *)
 
 val current : unit -> float option
-(** The current domain's absolute deadline (epoch seconds), if any —
-    what {!Pool} captures at task submission to inherit budgets across
-    domains. *)
+(** The current domain's absolute deadline, in seconds on the
+    monotonic clock (an arbitrary origin, comparable only with other
+    deadlines of this process), if any — what {!Pool} captures at
+    task submission to inherit budgets across domains. *)
 
 val with_inherited : float option -> (unit -> 'a) -> 'a
 (** [with_inherited d f] installs absolute deadline [d] (narrowed

@@ -239,8 +239,9 @@ and fallback ~options ~compiled ~trace ~kb query =
     let a =
       try
         Unary_engine.estimate ?ns:options.unary_sizes ?compiled ?trace ~kb query
-      with _ ->
-        Answer.make ~engine:"unary" (Answer.Not_applicable "engine error")
+      with
+      | Rw_pool.Budget.Expired as e -> raise e
+      | _ -> Answer.make ~engine:"unary" (Answer.Not_applicable "engine error")
     in
     if Answer.definitive a then
       selected trace "exact unary counting was definitive" a

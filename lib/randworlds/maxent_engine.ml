@@ -298,7 +298,8 @@ and belief_at_conjunctive ?compiled ~kb ~query tol =
 (* The entropy-maximum profile, for the trace only: entropy, constraint
    count, and per-atom mass at the first tolerance that solved. Runs
    exclusively when tracing is on; any failure is silently dropped —
-   emission must never change the engine's verdict. *)
+   emission must never change the engine's verdict — except a budget
+   expiry, which must reach the service to degrade the request. *)
 let emit_profile tr ?compiled ~kb ~query tol =
   match
     let parts =
@@ -323,6 +324,7 @@ let emit_profile tr ?compiled ~kb ~query tol =
     :: atom_fields
   with
   | fields -> Trace.fact tr "maxent-profile" fields
+  | exception (Rw_pool.Budget.Expired as e) -> raise e
   | exception _ -> ()
 
 (** [estimate ?tols ?compiled ?trace ~kb query] — the [τ̄ → 0] limit

@@ -78,30 +78,26 @@ let handle_request ?jobs:default_jobs service req =
     (r, (Instr.now () -. t0) *. 1000.0)
   in
   match req with
-  | Protocol.Query { src = qsrc; budget; explain = false; _ } -> begin
-    let result, ms = timed (fun () -> Service.query_src ?budget service qsrc) in
-    match result with
-    | Ok ((_, origin) as hit) ->
-      Log.info (fun m -> m "query %s %.2fms %s" (origin_tag origin) ms qsrc);
-      `Reply (Protocol.ok_reply ?id [ ("answer", answer_payload hit ms) ])
-    | Error msg ->
-      Log.warn (fun m -> m "query error: %s" msg);
-      `Reply (Protocol.error_reply ?id msg)
-  end
-  | Protocol.Query { src = qsrc; budget; explain = true; _ } -> begin
+  | Protocol.Query { src = qsrc; budget; explain; _ } -> begin
     let result, ms =
-      timed (fun () -> Service.query_src_explained ?budget service qsrc)
+      timed (fun () ->
+          if explain then Service.query_src_explained ?budget service qsrc
+          else
+            Result.map
+              (fun (answer, origin) -> { Service.answer; origin; trace = [] })
+              (Service.query_src ?budget service qsrc))
     in
     match result with
     | Ok { Service.answer; origin; trace } ->
       Log.info (fun m ->
-          m "query+explain %s %.2fms %s" (origin_tag origin) ms qsrc);
+          m "query%s %s %.2fms %s"
+            (if explain then "+explain" else "")
+            (origin_tag origin) ms qsrc);
       `Reply
         (Protocol.ok_reply ?id
-           [
-             ("answer", answer_payload (answer, origin) ms);
-             ("trace", Protocol.json_of_trace trace);
-           ])
+           (("answer", answer_payload (answer, origin) ms)
+           :: (if explain then [ ("trace", Protocol.json_of_trace trace) ]
+               else [])))
     | Error msg ->
       Log.warn (fun m -> m "query error: %s" msg);
       `Reply (Protocol.error_reply ?id msg)
@@ -304,11 +300,12 @@ let server_json st =
   Json.Obj fields
 
 (* Per-request routing in listen mode. Connection threads all live on
-   the main domain, where SIGALRM budgets and the pool's DLS state are
-   shared — so anything that dispatches an engine MUST run on a worker
-   domain (where budgets are enforced by deadline polling), never on
-   the connection thread. Batch items fan out as independent futures
-   on the shared pool ([Service.batch_srcs] would try to build a
+   the main domain and share its domain-local state — budget deadlines
+   and the pool's worker flag — so anything that dispatches an engine
+   MUST run on a worker domain, never on the connection thread; the
+   request's budget is installed there and polled by the engines
+   exactly as on the stdio path. Batch items fan out as independent
+   futures on the shared pool ([Service.batch_srcs] would try to build a
    nested pool from inside a worker task); stats/persist/shutdown are
    mutex-guarded and cheap, so they answer from the connection thread
    directly. *)

@@ -31,8 +31,9 @@ val run : ?ic:in_channel -> ?oc:out_channel -> ?jobs:int -> Service.t -> int
     per connection for framing and I/O, with every engine dispatch
     submitted to a shared {!Rw_pool.Pool} of worker domains via
     {!Rw_pool.Pool.async} — single-query requests route across the
-    pool exactly like batch items, and request budgets are enforced by
-    deadline polling (the [SIGALRM] path is single-thread-only).
+    pool exactly like batch items, and request budgets are the same
+    polled deadlines as on the stdio path, so a request degrades the
+    same way in either mode.
     Clients are isolated: a parse error is that client's [ok:false]
     reply, a disconnect closes that socket, and a line truncated by a
     mid-stream hangup still gets the documented error object before

@@ -340,86 +340,6 @@ let load_kb_file t path =
 let kb t = t.kb
 
 (* ------------------------------------------------------------------ *)
-(* Budgets                                                            *)
-(* ------------------------------------------------------------------ *)
-
-exception Timed_out
-
-(* Wall-clock preemption via SIGALRM: the handler raises from the next
-   allocation point, which every engine reaches constantly.
-
-   Three hazards this discipline has to survive:
-   - a {e stale alarm}: the timer fires in the window between [f]'s
-     last instruction and cancellation, leaving [Timed_out] pending in
-     the runtime to kill an unrelated later query;
-   - {e nested budgets}: [setitimer] replaces the caller's timer, so an
-     inner budget must re-arm the outer one (minus the time it spent)
-     on the way out;
-   - an exception escaping [f] before the timer is cancelled. *)
-let with_budget budget ~fallback f =
-  match budget with
-  | None -> (f (), false)
-  | Some s when s <= 0.0 -> (fallback (), true)
-  | Some s -> (
-    let zero = { Unix.it_interval = 0.0; it_value = 0.0 } in
-    let started = Unix.gettimeofday () in
-    let old_handler =
-      Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out))
-    in
-    let old_timer =
-      Unix.setitimer Unix.ITIMER_REAL { zero with Unix.it_value = s }
-    in
-    let restore () =
-      (* Cancel first; retry if a last-instant alarm preempts the
-         cancellation itself. *)
-      let rec cancel () =
-        try ignore (Unix.setitimer Unix.ITIMER_REAL zero)
-        with Timed_out -> cancel ()
-      in
-      cancel ();
-      (* Drain an alarm that was delivered before the cancellation but
-         whose OCaml-level handler hasn't run yet: force an allocation
-         point while our handler is still installed and swallow the
-         resulting [Timed_out]. *)
-      (try ignore (Sys.opaque_identity (ref ())) with Timed_out -> ());
-      Sys.set_signal Sys.sigalrm old_handler;
-      (* Re-arm the caller's outer budget with its remaining time, so
-         nesting narrows budgets instead of destroying them. A fully
-         spent outer budget fires (almost) immediately rather than
-         being silently disarmed. *)
-      if old_timer.Unix.it_value > 0.0 then begin
-        let elapsed = Unix.gettimeofday () -. started in
-        let remaining = Float.max 1e-6 (old_timer.Unix.it_value -. elapsed) in
-        ignore
-          (Unix.setitimer Unix.ITIMER_REAL
-             { old_timer with Unix.it_value = remaining })
-      end
-    in
-    match Fun.protect ~finally:restore f with
-    | v -> (v, false)
-    | exception Timed_out -> (fallback (), true)
-    | exception Fun.Finally_raised Timed_out ->
-      (* The alarm preempted the glue between [f]'s return and
-         [restore]'s first catch — treat it as an expiry. *)
-      (fallback (), true))
-
-(* The deadline-polled twin of [with_budget], for code paths where the
-   alarm cannot work: on a pool worker SIGALRM is never delivered to
-   the right domain, and on a coordinator about to fan out (jobs > 1)
-   an asynchronous raise could fire inside the pool's own
-   mutex/condition machinery and corrupt it. Engines poll
-   [Rw_pool.Budget.check] in their inner loops; [Pool.map] propagates
-   the deadline to every task and re-raises a worker's [Expired] here. *)
-let with_budget_polled budget ~fallback f =
-  match budget with
-  | None -> (f (), false)
-  | Some s when s <= 0.0 -> (fallback (), true)
-  | Some s -> (
-    match Rw_pool.Budget.with_deadline ~seconds:s f with
-    | v -> (v, false)
-    | exception Rw_pool.Budget.Expired -> (fallback (), true))
-
-(* ------------------------------------------------------------------ *)
 (* Queries                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -719,70 +639,28 @@ let update_src t action src =
 
 let session_log t = Mutex.protect t.session_m (fun () -> List.rev t.session_log_rev)
 
-(* One budgeted engine run, choosing the alarm or the polled deadline
-   as [query] always has (see the two [with_budget] variants above).
-   The compiled artifact is fetched {e inside} the budgeted closure:
-   the first request against a KB pays the compile against its own
-   budget (degrading soundly if it expires mid-compile), later
-   requests hit the artifact cache. *)
+(* One budgeted engine run; [None] when the budget expired (or was
+   non-positive). The budget is a {!Rw_pool.Budget} deadline polled
+   from the engines' inner loops (maxent solver iterations, profile
+   counting, world enumeration, sampling) on whichever domain runs
+   them — [Pool.map] and [Pool.async] carry it into their tasks. The
+   compiled artifact is fetched {e inside} the budget: the first
+   request against a KB pays the compile against its own budget
+   (degrading soundly if it expires mid-compile), later requests hit
+   the artifact cache. *)
 let run_engine ?trace ?budget t ~kb q =
-  let run_budget =
-    if Rw_pool.Pool.on_worker () || t.config.engine_options.Engine.jobs > 1
-    then with_budget_polled
-    else with_budget
+  let run () =
+    let compiled = compiled_for t kb in
+    Engine.degree_of_belief ~options:t.config.engine_options ?compiled ?trace
+      ~kb q
   in
-  run_budget budget
-    ~fallback:(fun () ->
-      degraded_answer ~kb ~budget:(Option.value budget ~default:0.0) q)
-    (fun () ->
-      let compiled = compiled_for t kb in
-      Engine.degree_of_belief ~options:t.config.engine_options ?compiled
-        ?trace ~kb q)
-
-let query ?budget t q =
-  match t.kb with
-  | None -> Error "no knowledge base loaded"
-  | Some kb ->
-    let budget =
-      match budget with Some _ as b -> b | None -> t.config.budget
-    in
-    let t0 = Instr.now () in
-    Atomic.incr t.queries;
-    let key = cache_key t q in
-    let answer, origin =
-      match Lru.Sync.find t.cache key with
-      | Some e -> (e.answer, Cached)
-      | None -> (
-        match store_probe t key q with
-        | Some e ->
-          (* Promote into the LRU so the next ask is a memory hit. *)
-          Lru.Sync.add t.cache key e;
-          (e.answer, Stored)
-        | None ->
-          let a, timed_out = run_engine ?budget t ~kb q in
-          if timed_out then begin
-            (* Wall-clock-dependent: never cached, never persisted. *)
-            Atomic.incr t.timeouts;
-            (a, Degraded)
-          end
-          else begin
-            let e = mk_entry q a None in
-            Lru.Sync.add t.cache key e;
-            store_put t key e;
-            (a, Computed)
-          end)
-    in
-    latency_record t.latency ((Instr.now () -. t0) *. 1000.0);
-    Ok (answer, origin)
-
-let query_src ?budget t src =
-  match Parser.formula src with
-  | Error msg -> Error (Printf.sprintf "query parse error: %s" msg)
-  | Ok q -> query ?budget t q
-
-(* ------------------------------------------------------------------ *)
-(* Explained queries                                                   *)
-(* ------------------------------------------------------------------ *)
+  match budget with
+  | None -> Some (run ())
+  | Some s when s <= 0.0 -> None
+  | Some s -> (
+    match Rw_pool.Budget.with_deadline ~seconds:s run with
+    | v -> Some v
+    | exception Rw_pool.Budget.Expired -> None)
 
 type explained = {
   answer : Answer.t;
@@ -794,7 +672,19 @@ let cache_fact outcome key =
   Trace.Fact
     { tag = "cache"; fields = [ ("outcome", Trace.S outcome); ("key", Trace.S key) ] }
 
-let query_explained ?budget t q =
+(* The query ladder: LRU probe, then store probe (a hit is promoted
+   into the LRU), then a budgeted dispatch written through to both
+   tiers. [trace] is the sink of an explained request, fresh per
+   request: a served entry replays its stored trace into it behind a
+   [cache] fact, and a dispatch's events become the new entry's trace.
+   An entry that predates tracing (computed by a plain query, in this
+   process or a previous one) is re-derived once with the sink and
+   upgraded in both tiers. The answer served stays the stored one when
+   that retrace runs out of budget: an expiry must not degrade an
+   answer we already have. A budget expiry on a miss serves the rules
+   engine's sound interval, which depends on the clock and so is
+   neither cached nor persisted. *)
+let ladder ?budget ?trace t q =
   match t.kb with
   | None -> Error "no knowledge base loaded"
   | Some kb ->
@@ -804,80 +694,68 @@ let query_explained ?budget t q =
     let t0 = Instr.now () in
     Atomic.incr t.queries;
     let key = cache_key t q in
-    (* An entry that predates tracing (computed by a plain [query],
-       in this process or a previous one): re-derive once with a
-       trace and upgrade both tiers. The answer served stays the
-       stored one — determinism makes the re-derivation agree, and a
-       timeout mid-retrace must not degrade an answer we already
-       have. *)
-    let upgrade ~tag ~origin (stored : entry) =
-      let tr = Trace.create () in
-      Trace.add tr (cache_fact (tag ^ "-retraced") key);
-      let a, timed_out = run_engine ~trace:tr ?budget t ~kb q in
-      if timed_out then begin
-        Trace.note tr "retrace ran out of budget; cached answer returned";
-        { answer = stored.answer; origin; trace = Trace.events tr }
-      end
-      else begin
-        let evs = Trace.events tr in
-        let e = mk_entry q a (Some evs) in
+    let dispatch outcome =
+      Option.iter (fun tr -> Trace.add tr (cache_fact outcome key)) trace;
+      match run_engine ?trace ?budget t ~kb q with
+      | None -> None
+      | Some a ->
+        let e = mk_entry q a (Option.map Trace.events trace) in
         Lru.Sync.add t.cache key e;
         store_put t key e;
-        { answer = a; origin; trace = evs }
-      end
+        Some a
+    in
+    let serve ~outcome (e : entry) =
+      match (trace, e.trace) with
+      | None, _ -> e.answer
+      | Some tr, Some evs ->
+        List.iter (Trace.add tr) ((cache_fact outcome key :: e.provenance) @ evs);
+        e.answer
+      | Some tr, None -> (
+        match dispatch (outcome ^ "-retraced") with
+        | Some a -> a
+        | None ->
+          Trace.note tr "retrace ran out of budget; cached answer returned";
+          e.answer)
     in
     let result =
       match Lru.Sync.find t.cache key with
-      | Some { answer; trace = Some evs; provenance; _ } ->
-        (* The stored trace explains the cached answer; the prepended
-           cache fact says how this particular reply was served, and
-           the provenance facts how the entry survived KB updates. *)
-        {
-          answer;
-          origin = Cached;
-          trace = (cache_fact "hit" key :: provenance) @ evs;
-        }
-      | Some ({ trace = None; _ } as e) -> upgrade ~tag:"hit" ~origin:Cached e
+      | Some e -> (serve ~outcome:"hit" e, Cached)
       | None -> (
         match store_probe t key q with
-        | Some ({ answer; trace = Some evs; _ } as e) ->
-          (* The persisted trace explains the persisted answer — the
-             replay works even when the record was written by an
-             earlier process (the warm-restart story). *)
+        | Some e ->
           Lru.Sync.add t.cache key e;
-          {
-            answer;
-            origin = Stored;
-            trace = cache_fact "hit-store" key :: evs;
-          }
-        | Some ({ trace = None; _ } as e) ->
-          Lru.Sync.add t.cache key e;
-          upgrade ~tag:"hit-store" ~origin:Stored e
-        | None ->
-          let tr = Trace.create () in
-          Trace.add tr (cache_fact "miss" key);
-          let a, timed_out = run_engine ~trace:tr ?budget t ~kb q in
-          if timed_out then begin
+          (serve ~outcome:"hit-store" e, Stored)
+        | None -> (
+          match dispatch "miss" with
+          | Some a -> (a, Computed)
+          | None ->
             Atomic.incr t.timeouts;
-            Trace.note tr
-              "budget exhausted: degraded to the rules-engine sound answer";
-            { answer = a; origin = Degraded; trace = Trace.events tr }
-          end
-          else begin
-            let evs = Trace.events tr in
-            let e = mk_entry q a (Some evs) in
-            Lru.Sync.add t.cache key e;
-            store_put t key e;
-            { answer = a; origin = Computed; trace = evs }
-          end)
+            Option.iter
+              (fun tr ->
+                Trace.note tr
+                  "budget exhausted: degraded to the rules-engine sound answer")
+              trace;
+            ( degraded_answer ~kb ~budget:(Option.value budget ~default:0.0) q,
+              Degraded )))
     in
     latency_record t.latency ((Instr.now () -. t0) *. 1000.0);
     Ok result
 
+let query ?budget t q = ladder ?budget t q
+
+let query_explained ?budget t q =
+  let tr = Trace.create () in
+  Result.map
+    (fun (answer, origin) -> { answer; origin; trace = Trace.events tr })
+    (ladder ?budget ~trace:tr t q)
+
+let parse_query src =
+  Result.map_error (Printf.sprintf "query parse error: %s") (Parser.formula src)
+
+let query_src ?budget t src = Result.bind (parse_query src) (query ?budget t)
+
 let query_src_explained ?budget t src =
-  match Parser.formula src with
-  | Error msg -> Error (Printf.sprintf "query parse error: %s" msg)
-  | Ok q -> query_explained ?budget t q
+  Result.bind (parse_query src) (query_explained ?budget t)
 
 (* Fanning a batch out to a domain pool costs domain spawns plus GC
    contention before the first item runs — on small batches of cheap

@@ -15,17 +15,16 @@
     the tolerance schedule and every engine knob, so services with
     different configurations never share entries.
 
-    Per-request wall-clock budgets degrade gracefully: when the budget
-    expires mid-dispatch the request is answered by the rules engine's
-    provably-sound interval instead (never cached, counted in
-    [timeouts]). A non-positive budget degrades immediately — the
-    "shed load but stay sound" mode. Two enforcement mechanisms share
-    that contract: the strictly-sequential path uses a [SIGALRM] timer
-    ({!with_budget}); on a pool worker domain, or when the engine
-    options ask for a Monte-Carlo fan-out ([jobs > 1]), the signal
-    either cannot reach the working domain or could corrupt the pool,
-    so the budget becomes a {!Rw_pool.Budget} deadline polled from the
-    engines' inner loops instead.
+    Per-request budgets degrade gracefully. A budget is a
+    {!Rw_pool.Budget} deadline on the monotonic clock, polled from the
+    engines' inner loops — maxent solver iterations, profile counting,
+    world enumeration, Monte-Carlo sampling — on whichever domain runs
+    the work, so the same request degrades the same way on the main
+    domain, on a pool worker, and across a fan-out. Expiry is noticed
+    at the next poll; the request is then answered by the rules
+    engine's provably-sound interval instead (never cached, never
+    persisted, counted in [timeouts]). A non-positive budget degrades
+    immediately — the "shed load but stay sound" mode.
 
     A {!t} is domain-safe: the answer cache, latency ring and counters
     are synchronised, so {!batch} can fan queries out across a domain
@@ -330,18 +329,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-(** {2 Budgets (exposed for tests)} *)
-
-val with_budget :
-  float option -> fallback:(unit -> 'a) -> (unit -> 'a) -> 'a * bool
-(** [with_budget budget ~fallback f] runs [f] under a [SIGALRM]
-    wall-clock budget; on expiry (or a non-positive budget) it runs
-    [fallback] instead and flags the degradation. [None] runs [f]
-    unbudgeted. The previous signal handler is restored either way, a
-    pending alarm delivered in the cancellation race window is drained
-    (so a stale alarm can never kill a later request), and an
-    enclosing budget's timer is re-armed with its remaining time —
-    nesting narrows budgets rather than destroying them. Used on the
-    strictly-sequential request path only; parallel paths poll
-    {!Rw_pool.Budget} deadlines instead (see the module docstring). *)

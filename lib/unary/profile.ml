@@ -269,7 +269,7 @@ let pr_n ?(log_prior = fun _ -> 0.0) ?table (parts : Analysis.parts) ~query ~n
     | _ ->
       Listx.iter_compositions n na (fun counts ->
           (* Budget poll per profile: compositions number in the millions
-             for wide universes, and worker domains see no SIGALRM. *)
+             for wide universes. *)
           Rw_pool.Budget.check ();
           let prof = { universe = u; n; counts; const_atoms = [] } in
           let stat_ok =

@@ -268,6 +268,47 @@ let test_budget_check_expires () =
     Rw_pool.Budget.check ()
   done
 
+(* Deadlines nest by narrowing: an inner, wider deadline cannot extend
+   the outer one, and an inner expiry inside a healthy outer deadline
+   leaves the outer deadline running. Spins carry a 5 s failsafe so a
+   broken deadline fails the test instead of hanging it. *)
+let test_budget_nesting () =
+  let module B = Rw_pool.Budget in
+  let spin seconds =
+    let t0 = Unix.gettimeofday () in
+    while Unix.gettimeofday () -. t0 < seconds do
+      B.check ()
+    done
+  in
+  let t0 = Unix.gettimeofday () in
+  Alcotest.check_raises "a wider inner deadline keeps the outer one" B.Expired
+    (fun () ->
+      B.with_deadline ~seconds:0.05 (fun () ->
+          B.with_deadline ~seconds:10.0 (fun () -> spin 5.0)));
+  Alcotest.(check bool) "outer expired promptly" true
+    (Unix.gettimeofday () -. t0 < 4.0);
+  Alcotest.check_raises "the outer deadline binds after the inner returns"
+    B.Expired (fun () ->
+      B.with_deadline ~seconds:0.05 (fun () ->
+          let outer = B.current () in
+          B.with_deadline ~seconds:10.0 (fun () ->
+              Alcotest.(check bool) "inner narrowed to the outer" true
+                (B.current () = outer));
+          Alcotest.(check bool) "outer restored" true (B.current () = outer);
+          spin 5.0));
+  let v =
+    B.with_deadline ~seconds:10.0 (fun () ->
+        let outer = B.current () in
+        Alcotest.check_raises "inner expires" B.Expired (fun () ->
+            B.with_deadline ~seconds:0.01 (fun () -> spin 5.0));
+        Alcotest.(check bool) "outer deadline restored" true
+          (B.current () = outer);
+        spin 0.05;
+        "outer-done")
+  in
+  Alcotest.(check string) "outer completes" "outer-done" v;
+  Alcotest.(check bool) "nothing left installed" true (B.current () = None)
+
 let suite =
   [
     ("pool: map preserves order", `Quick, test_map_order);
@@ -280,4 +321,6 @@ let suite =
     ("lru: Sync bound and no lost entries", `Quick, test_lru_sync_multi_domain);
     ("budget: parallel batch degrades on expiry", `Slow, test_budget_degrades_in_parallel_batch);
     ("budget: polled deadline expires", `Quick, test_budget_check_expires);
+    ("budget: nested deadlines narrow, inner expiry spares the outer", `Quick,
+     test_budget_nesting);
   ]
