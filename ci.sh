@@ -224,13 +224,15 @@ case $warm in
 esac
 rm -rf "$listen_dir"
 
-# One budget mechanism on every serve path: a maxent-heavy query
-# (~1 s of solver time unbudgeted) under a 50 ms budget must degrade
-# over --listen, where every dispatch runs on a pool worker, exactly
-# as it does over stdin/stdout.
+# One budget mechanism on every serve path: the first maxent query
+# against a KB pays its compile, whose solver polls the deadline before
+# anything else does. Under a 1 µs budget — already expired at that
+# first poll, while the unbudgeted query takes a few milliseconds — it
+# must degrade over --listen, where every dispatch runs on a pool
+# worker, exactly as it does over stdin/stdout.
 budget_dir=$(mktemp -d)
 _build/default/bin/rw.exe serve --listen "$budget_dir/rw.sock" --jobs 1 \
-  --budget 0.05 --kb examples/kb/broken_arm.kb 2> /dev/null &
+  --budget 0.000001 --kb examples/kb/broken_arm.kb 2> /dev/null &
 budget_pid=$!
 budget_reply=$(echo '{"op":"query","query":"LUsable(Eric)"}' \
   | _build/default/bin/rw.exe client "$budget_dir/rw.sock" --retry 10) \
@@ -359,6 +361,12 @@ rm -rf "$compile_dir"
 # tolerance in the schedule must presolve on this KB.
 dune exec bin/rw.exe -- compile --kb examples/kb/hepatitis.kb --json \
   | grep -q '"presolved":6'
+
+# Smoke: the largest corpus KB (128 atoms, 10 priced constraint rows)
+# presolves its whole schedule — the maxent dual converges at every
+# tolerance instead of reporting one infeasible.
+dune exec bin/rw.exe -- compile --kb examples/kb/taxonomy.kb \
+  | grep -q '6 tolerance(s) pre-solved, 0 infeasible'
 
 # Smoke: --explain prints the derivation and --explain-json carries a
 # machine-readable trace that names the winning reference class and

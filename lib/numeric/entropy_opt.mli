@@ -3,17 +3,15 @@
 
     A unary knowledge base induces linear constraints on the vector of
     atom proportions; degrees of belief concentrate at the
-    maximum-entropy point of the constrained set. Two solvers share an
-    interface:
-
-    - a {e dual} fast path, applicable when the system is inequality
-      constraints plus zero-pinning equalities (exactly the shape unary
-      KBs produce): the dual is a smooth low-dimensional convex
-      problem and the primal point is recovered in closed form — near
-      machine precision, which matters when later computations
-      condition on sets whose mass is of the order of the tolerances;
-    - an augmented-Lagrangian projected-gradient {e primal} solver for
-      everything else.
+    maximum-entropy point of the constrained set. One solver covers
+    every system: projected Newton on the convex dual, whose Hessian is
+    the covariance of the constraint rows under the current point.
+    [Le] rows carry non-negative multipliers, [Eq (a, 0)] rows with
+    one-signed [a] pin their atoms to zero, and every other [Eq] row
+    carries a free multiplier. The primal point is recovered in closed
+    form, [p_A ∝ exp(−(aᵀλ)_A)] — near machine precision, which matters
+    when later computations condition on sets whose mass is of the
+    order of the tolerances.
 
     The simplex constraints ([p ≥ 0], [Σp = 1]) are implicit. *)
 
@@ -25,7 +23,10 @@ type result = {
   point : Vec.t;  (** the maximum-entropy point found *)
   entropy : float;  (** its entropy *)
   max_violation : float;  (** worst constraint violation at [point] *)
-  iterations : int;  (** total inner iterations used *)
+  multipliers : float array;
+      (** the dual multiplier of each constraint, in order; 0 for a
+          zero-pinning row, which is eliminated rather than priced *)
+  iterations : int;  (** Newton iterations used *)
 }
 
 val violation : constraint_ -> Vec.t -> float
@@ -34,34 +35,15 @@ val violation : constraint_ -> Vec.t -> float
 
 val max_violation : constraint_ list -> Vec.t -> float
 
-val solve_via_dual : dim:int -> constraint_ list -> result option
-(** The dual fast path; [None] when the constraint system is not of
-    the supported shape. Exposed for tests. *)
-
-val solve :
-  ?outer_iters:int ->
-  ?inner_iters:int ->
-  ?tol:float ->
-  ?feas_tol:float ->
-  ?initial:Vec.t ->
-  dim:int ->
-  constraint_ list ->
-  result
+val solve : dim:int -> constraint_ list -> result
 (** [solve ~dim cs] maximises entropy over the simplex of dimension
-    [dim] subject to [cs], dispatching to the dual fast path when
-    possible. Raises [Invalid_argument] on dimension mismatches. An
-    infeasible system yields a [result] with large [max_violation] —
-    callers decide the threshold (see {!solve_feasible}). *)
+    [dim] subject to [cs]. Raises [Invalid_argument] on dimension
+    mismatches. An infeasible system yields a [result] with large
+    [max_violation] — callers decide the threshold (see
+    {!solve_feasible}). Polls [Rw_pool.Budget.check] once per
+    iteration. *)
 
-val solve_feasible :
-  ?outer_iters:int ->
-  ?inner_iters:int ->
-  ?tol:float ->
-  ?feas_tol:float ->
-  ?initial:Vec.t ->
-  dim:int ->
-  constraint_ list ->
-  result
-(** Like {!solve} but raises [Failure] when the solver cannot reach
-    feasibility — for callers that must distinguish "inconsistent KB"
-    from a numeric answer. *)
+val solve_feasible : ?feas_tol:float -> dim:int -> constraint_ list -> result
+(** Like {!solve} but raises [Failure] when the result violates a
+    constraint by more than [feas_tol] (default [1e-7]) — for callers
+    that must distinguish "inconsistent KB" from a numeric answer. *)

@@ -52,36 +52,5 @@ let entropy (p : t) =
   done;
   !acc
 
-(** [entropy_grad p] is the gradient of the entropy, [-(1 + ln p_i)];
-    entries near [p_i = 0] are evaluated at a small floor so the
-    gradient stays bounded while still pushing mass back into the
-    simplex interior. *)
-let entropy_grad (p : t) : t =
-  let floor = 1e-12 in
-  map (fun x -> -.(1.0 +. Float.log (Float.max x floor))) p
-
-(** [project_simplex v] is the Euclidean projection of [v] onto the
-    probability simplex [{p : p_i >= 0, Σ p_i = 1}]
-    (Held–Wolfe–Crowder / Duchi et al. algorithm). *)
-let project_simplex (v : t) : t =
-  let n = dim v in
-  if n = 0 then invalid_arg "Vec.project_simplex: empty"
-  else begin
-    let sorted = copy v in
-    Array.sort (fun a b -> Stdlib.compare b a) sorted;
-    (* Find rho = max { j : sorted_j - (cumsum_j - 1)/j > 0 }. *)
-    let rec find j cumsum best_theta =
-      if j > n then best_theta
-      else begin
-        let cumsum = cumsum +. sorted.(j - 1) in
-        let theta = (cumsum -. 1.0) /. float_of_int j in
-        if sorted.(j - 1) -. theta > 0.0 then find (j + 1) cumsum theta
-        else best_theta
-      end
-    in
-    let theta = find 1 0.0 ((sum v -. 1.0) /. float_of_int n) in
-    map (fun x -> Float.max 0.0 (x -. theta)) v
-  end
-
 let pp ppf (v : t) =
   Fmt.pf ppf "[%a]" Fmt.(array ~sep:(any "; ") (fun ppf -> Fmt.pf ppf "%.4g")) v

@@ -33,12 +33,4 @@ val linf_dist : t -> t -> float
 val entropy : t -> float
 (** [entropy p] is [−Σ pᵢ ln pᵢ] with the [0 ln 0 = 0] convention. *)
 
-val entropy_grad : t -> t
-(** Gradient of the entropy, [−(1 + ln pᵢ)]; entries near zero are
-    evaluated at a small floor so the gradient stays bounded. *)
-
-val project_simplex : t -> t
-(** Euclidean projection onto the probability simplex
-    [{p : pᵢ ≥ 0, Σpᵢ = 1}]. *)
-
 val pp : Format.formatter -> t -> unit

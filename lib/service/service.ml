@@ -177,6 +177,7 @@ type t = {
   session_m : Mutex.t;
   mutable conjuncts : Syntax.formula list;
   mutable session_log_rev : session_event list;
+  mutable session_log_len : int;  (** [List.length session_log_rev] *)
   mutable seq : int;
   mutable updates : int;
   mutable asserts : int;
@@ -246,6 +247,7 @@ let create ?(config = default_config) ?store () =
     session_m = Mutex.create ();
     conjuncts = [];
     session_log_rev = [];
+    session_log_len = 0;
     seq = 0;
     updates = 0;
     asserts = 0;
@@ -271,7 +273,9 @@ let rec split_conjuncts = function
   | Syntax.True -> []
   | f -> [ f ]
 
-let log_event t ev = t.session_log_rev <- ev :: t.session_log_rev
+let log_event t ev =
+  t.session_log_rev <- ev :: t.session_log_rev;
+  t.session_log_len <- t.session_log_len + 1
 
 (* Swapping in a whole new KB retires every cache entry of the old one:
    without this, a long-lived serve process that cycles KBs fills the
@@ -694,12 +698,25 @@ let ladder ?budget ?trace t q =
     let t0 = Instr.now () in
     Atomic.incr t.queries;
     let key = cache_key t q in
-    let dispatch outcome =
-      Option.iter (fun tr -> Trace.add tr (cache_fact outcome key)) trace;
+    (* [provenance] is that of the entry a retrace upgrades: it is
+       replayed behind the cache fact, as on any hit, and carried into
+       the new entry, but kept out of the entry's stored trace. *)
+    let dispatch ?(provenance = []) outcome =
+      Option.iter
+        (fun tr -> List.iter (Trace.add tr) (cache_fact outcome key :: provenance))
+        trace;
       match run_engine ?trace ?budget t ~kb q with
       | None -> None
       | Some a ->
-        let e = mk_entry q a (Option.map Trace.events trace) in
+        let evs =
+          Option.map
+            (fun tr ->
+              List.filter
+                (fun ev -> not (List.memq ev provenance))
+                (Trace.events tr))
+            trace
+        in
+        let e = { (mk_entry q a evs) with provenance } in
         Lru.Sync.add t.cache key e;
         store_put t key e;
         Some a
@@ -711,7 +728,7 @@ let ladder ?budget ?trace t q =
         List.iter (Trace.add tr) ((cache_fact outcome key :: e.provenance) @ evs);
         e.answer
       | Some tr, None -> (
-        match dispatch (outcome ^ "-retraced") with
+        match dispatch ~provenance:e.provenance (outcome ^ "-retraced") with
         | Some a -> a
         | None ->
           Trace.note tr "retrace ran out of budget; cached answer returned";
@@ -833,7 +850,7 @@ let session_stats t =
         update_evicted = t.update_evicted_total;
         swap_reclaimed = t.swap_reclaimed_total;
         artifact_carries = t.artifact_carries;
-        log_entries = List.length t.session_log_rev;
+        log_entries = t.session_log_len;
       })
 
 let stats (t : t) =

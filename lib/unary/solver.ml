@@ -37,7 +37,7 @@ let feasibility_threshold = 2e-6
 let solve (parts : Analysis.parts) tol =
   let dim = Atoms.num_atoms parts.Analysis.universe in
   let cs = Constraints.of_parts parts tol in
-  let r = Entropy_opt.solve ~outer_iters:120 ~feas_tol:1e-10 ~dim cs in
+  let r = Entropy_opt.solve ~dim cs in
   if r.Entropy_opt.max_violation > feasibility_threshold then
     raise (Infeasible r.Entropy_opt.max_violation)
   else
@@ -82,7 +82,7 @@ let conditional_refined (parts : Analysis.parts) tol ~num ~den ~floor =
   let den_coeffs = Vec.create dim 0.0 in
   List.iter (fun a -> den_coeffs.(a) <- -1.0) (Atoms.members u den);
   let cs = Entropy_opt.Le (den_coeffs, -.floor) :: cs in
-  let r = Entropy_opt.solve ~outer_iters:120 ~feas_tol:1e-10 ~dim cs in
+  let r = Entropy_opt.solve ~dim cs in
   if r.Entropy_opt.max_violation > feasibility_threshold then None
   else begin
     let p = r.Entropy_opt.point in
@@ -138,7 +138,7 @@ let conditional_distribution ?solve:solve_hook (parts : Analysis.parts) tol
     let den_coeffs = Vec.create dim 0.0 in
     List.iter (fun a -> den_coeffs.(a) <- -1.0) atoms;
     let cs = Entropy_opt.Le (den_coeffs, -1e-7) :: cs in
-    let r = Entropy_opt.solve ~outer_iters:120 ~feas_tol:1e-10 ~dim cs in
+    let r = Entropy_opt.solve ~dim cs in
     if r.Entropy_opt.max_violation > feasibility_threshold then None
     else of_point r.Entropy_opt.point
   end

@@ -1,5 +1,5 @@
-(* Tests for rw_numeric: vector ops, simplex projection, constrained
-   entropy maximisation. *)
+(* Tests for rw_numeric: vector ops and constrained entropy
+   maximisation. *)
 
 open Rw_numeric
 
@@ -29,32 +29,6 @@ let test_entropy () =
   check_float "point mass" 0.0 (Vec.entropy [| 1.0; 0.0 |]);
   check_float "binary" (-.(0.3 *. Float.log 0.3) -. (0.7 *. Float.log 0.7))
     (Vec.entropy [| 0.3; 0.7 |])
-
-let test_project_simplex () =
-  (* Already on the simplex: unchanged. *)
-  let p = [| 0.2; 0.3; 0.5 |] in
-  Alcotest.(check (array (float 1e-9))) "fixed point" p (Vec.project_simplex p);
-  (* Projection of a symmetric point is uniform. *)
-  Alcotest.(check (array (float 1e-9))) "uniform" [| 0.5; 0.5 |]
-    (Vec.project_simplex [| 3.0; 3.0 |]);
-  (* Result is always a distribution. *)
-  let q = Vec.project_simplex [| -5.0; 0.1; 2.7; 0.0 |] in
-  check_float "sums to one" 1.0 (Vec.sum q);
-  Array.iter (fun x -> Alcotest.(check bool) "non-negative" true (x >= 0.0)) q
-
-let prop_projection_is_distribution =
-  QCheck.Test.make ~name:"simplex projection yields a distribution"
-    QCheck.(list_of_size (Gen.int_range 1 8) (float_range (-10.0) 10.0))
-    (fun xs ->
-      let q = Vec.project_simplex (Array.of_list xs) in
-      Float.abs (Vec.sum q -. 1.0) < 1e-9 && Array.for_all (fun x -> x >= 0.0) q)
-
-let prop_projection_idempotent =
-  QCheck.Test.make ~name:"simplex projection idempotent"
-    QCheck.(list_of_size (Gen.int_range 1 8) (float_range (-10.0) 10.0))
-    (fun xs ->
-      let q = Vec.project_simplex (Array.of_list xs) in
-      Vec.linf_dist q (Vec.project_simplex q) < 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Entropy optimisation                                               *)
@@ -140,6 +114,86 @@ let test_violation_reporting () =
   check_float "le violation" 0.25 (Entropy_opt.violation c2 [| 0.5; 0.5 |]);
   check_float "le satisfied" 0.0 (Entropy_opt.violation c2 [| 0.1; 0.9 |])
 
+(* The constraint system of examples/kb/taxonomy.kb at every tolerance
+   of the compile schedule: 10 priced rows over 40 live atoms, which a
+   first-order dual used to leave at its 20 000-iteration cap. Newton
+   must reach machine-precision feasibility and complementary slackness
+   in a few dozen steps. *)
+let test_maxent_taxonomy_schedule () =
+  let open Rw_logic in
+  let path =
+    List.find Sys.file_exists
+      [ "../examples/kb/taxonomy.kb"; "examples/kb/taxonomy.kb" ]
+  in
+  let kb =
+    match Kb_file.load path with
+    | Ok kb -> kb
+    | Error _ -> Alcotest.fail "taxonomy.kb failed to load"
+  in
+  let parts = Rw_unary.Analysis.analyze kb in
+  let dim = Atoms.num_atoms parts.Rw_unary.Analysis.universe in
+  List.iter
+    (fun tol ->
+      let cs = Rw_unary.Constraints.of_parts parts tol in
+      let r = Entropy_opt.solve ~dim cs in
+      let label = Printf.sprintf "τ=%g" tol.Tolerance.scale in
+      Alcotest.(check bool)
+        (label ^ " violation <= 1e-12") true (r.max_violation <= 1e-12);
+      List.iteri
+        (fun i c ->
+          let a, b = match c with Entropy_opt.Eq (a, b) | Le (a, b) -> (a, b) in
+          let slack = r.multipliers.(i) *. (b -. Vec.dot a r.point) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s slackness row %d" label i)
+            true
+            (Float.abs slack <= 1e-12))
+        cs;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s iterations %d <= 50" label r.iterations)
+        true (r.iterations <= 50))
+    Rw_compile.Compiled_kb.default_schedule
+
+let test_maxent_free_multiplier () =
+  (* 2p0 − p1 = 0.5 over three atoms: a non-zero bound with mixed-sign
+     coefficients, so the multiplier is free (here negative). The
+     maxent point is p ∝ (e^{−2λ}, e^{λ}, 1); solving the equality
+     directly by bisection on λ gives the reference. *)
+  let a = [| 2.0; -1.0; 0.0 |] in
+  let r = Entropy_opt.solve ~dim:3 [ Entropy_opt.Eq (a, 0.5) ] in
+  Alcotest.(check bool) "feasible" true (r.max_violation <= 1e-12);
+  let point l =
+    let w = [| Float.exp (-2.0 *. l); Float.exp l; 1.0 |] in
+    let z = Vec.sum w in
+    Array.map (fun x -> x /. z) w
+  in
+  let rec bisect lo hi k =
+    let mid = 0.5 *. (lo +. hi) in
+    if k = 0 then mid
+    else if Vec.dot a (point mid) > 0.5 then bisect mid hi (k - 1)
+    else bisect lo mid (k - 1)
+  in
+  let expect = point (bisect (-10.0) 10.0 200) in
+  Array.iteri (fun i x -> check_float "point" x r.point.(i)) expect;
+  Alcotest.(check bool) "multiplier is negative" true (r.multipliers.(0) < 0.0)
+
+let test_maxent_infeasible_le_pair () =
+  (* p0 ≤ 0.1 and p0 ≥ 0.9: the dual is unbounded, so the solve stops
+     at its iteration cap or a failed line search, with the gap still
+     showing. *)
+  let cs =
+    [
+      Entropy_opt.Le ([| 1.0; 0.0 |], 0.1);
+      Entropy_opt.Le ([| -1.0; 0.0 |], -0.9);
+    ]
+  in
+  let r = Entropy_opt.solve ~dim:2 cs in
+  Alcotest.(check bool) "violation shows" true (r.max_violation > 0.1);
+  Alcotest.(check bool) "solve_feasible raises" true
+    (try
+       ignore (Entropy_opt.solve_feasible ~dim:2 cs);
+       false
+     with Failure _ -> true)
+
 let prop_maxent_entropy_bounded =
   QCheck.Test.make ~name:"maxent entropy never exceeds log dim" ~count:30
     QCheck.(pair (int_range 2 6) (float_range 0.05 0.95))
@@ -155,7 +209,6 @@ let suite =
     ("vec.basic", `Quick, test_vec_basic);
     ("vec.errors", `Quick, test_vec_errors);
     ("vec.entropy", `Quick, test_entropy);
-    ("vec.project_simplex", `Quick, test_project_simplex);
     ("maxent.unconstrained", `Quick, test_maxent_unconstrained);
     ("maxent.equality", `Quick, test_maxent_equality);
     ("maxent.le_inactive", `Quick, test_maxent_inequality_inactive);
@@ -164,7 +217,8 @@ let suite =
     ("maxent.conditional", `Quick, test_maxent_conditional_constraint);
     ("maxent.infeasible", `Quick, test_maxent_infeasible);
     ("maxent.violation", `Quick, test_violation_reporting);
-    q prop_projection_is_distribution;
-    q prop_projection_idempotent;
+    ("maxent.taxonomy_schedule", `Quick, test_maxent_taxonomy_schedule);
+    ("maxent.free_multiplier", `Quick, test_maxent_free_multiplier);
+    ("maxent.infeasible_le_pair", `Quick, test_maxent_infeasible_le_pair);
     q prop_maxent_entropy_bounded;
   ]

@@ -8,6 +8,7 @@ module Json = Rw_service.Json
 module Lru = Rw_service.Lru
 module Service = Rw_service.Service
 module Server = Rw_service.Server
+module Trace = Rw_trace.Trace
 
 let parse s =
   match Parser.formula s with
@@ -318,16 +319,18 @@ let test_budget_zero_degrades () =
     let st = Service.stats svc2 in
     Alcotest.(check int) "timeout counted" 1 st.Service.timeouts
 
-(* A maxent-heavy query under a 50 ms budget: broken_arm's LUsable(Eric)
-   spends about a second in the maximum-entropy solver, which must poll
-   the deadline. The same request has to degrade promptly whether it
-   runs on the calling domain or on a pool worker (the listener routes
-   every query through [Pool.async]). *)
+(* A budget that expires inside the maxent solve: the first request
+   against broken_arm.kb pays the KB's compile, whose pre-solve is the
+   first code to poll the deadline. A 1 µs budget is gone by that first
+   poll, so the expiry lands inside the compile's solve — the compile
+   counter staying at 0 pins that. The same request has to degrade
+   promptly whether it runs on the calling domain or on a pool worker
+   (the listener routes every query through [Pool.async]). *)
 let test_budget_expires_in_maxent () =
   let degrades_promptly where run =
     let svc =
       Service.create
-        ~config:{ Service.default_config with budget = Some 0.05 }
+        ~config:{ Service.default_config with budget = Some 1e-6 }
         ()
     in
     (match Service.load_kb_file svc "../examples/kb/broken_arm.kb" with
@@ -340,6 +343,11 @@ let test_budget_expires_in_maxent () =
       let elapsed = Unix.gettimeofday () -. t0 in
       Alcotest.check origin (where ^ ": degraded") Service.Degraded o;
       Alcotest.(check string) (where ^ ": rules answer") "rules" a.Answer.engine;
+      (match (Service.stats svc).Service.compiled with
+      | Some c ->
+        Alcotest.(check int) (where ^ ": no compile finished") 0
+          c.Service.compiles
+      | None -> Alcotest.failf "%s: compiled tier is off" where);
       if elapsed >= 1.0 then
         Alcotest.failf "%s: degraded only after %.3f s" where elapsed
   in
@@ -486,6 +494,80 @@ let test_session_log_and_errors () =
   Alcotest.(check int) "asserts counted" 2 st.Service.asserts;
   Alcotest.(check int) "retracts counted" 2 st.Service.retracts;
   Alcotest.(check int) "log_entries" 5 st.Service.log_entries
+
+(* [log_entries] is a counter kept beside the log, so [stats] stays
+   O(1) however long the session; it must track the log exactly through
+   asserts, retracts, no-ops, rejected updates and KB swaps. *)
+let test_session_log_counter () =
+  let svc = hep_service () in
+  let agrees label =
+    Alcotest.(check int) label
+      (List.length (Service.session_log svc))
+      (Service.stats svc).Service.session.Service.log_entries
+  in
+  agrees "after load";
+  List.iter
+    (fun (action, src) -> ignore (upd svc action src))
+    [
+      (Service.Assert, "Wet(Sam)");
+      (Service.Assert, "Jaun(Dana)");
+      (Service.Retract, "Wet(Sam)");
+      (Service.Retract, "Dry(Sam)");
+      (Service.Assert, "Wet(Sam)");
+      (Service.Retract, "Jaun(Dana)");
+    ];
+  agrees "after a mixed assert/retract sequence";
+  (match Service.update svc Service.Assert (parse "Hep(Eric, Dana)") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "arity-conflicting assert must be an error");
+  agrees "after a rejected update";
+  Service.load_kb svc (parse "Wet(Sam)");
+  agrees "after a KB swap";
+  Alcotest.(check int) "every event counted" 8
+    (Service.stats svc).Service.session.Service.log_entries
+
+(* An explained hit on a trace-less entry that survived an update by
+   revalidation is re-derived once (hit-retraced); the re-derivation
+   must keep the entry's provenance, in the reply and in the upgraded
+   entry. *)
+let test_session_retrace_keeps_provenance () =
+  let svc = Service.create () in
+  (match Service.load_kb_file svc "../examples/kb/hepatitis.kb" with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "load hepatitis.kb: %s" msg);
+  let q = parse "Hep(Eric)" in
+  ignore (ask svc q);
+  ignore (upd svc Service.Assert "Wet(Sam)");
+  let facts trace =
+    List.filter_map
+      (function
+        | Trace.Fact { tag; fields } -> Some (tag, fields) | _ -> None)
+      trace
+  in
+  let check_reply label (r : Service.explained) outcome =
+    let fs = facts r.Service.trace in
+    Alcotest.(check bool)
+      (label ^ ": cache outcome " ^ outcome)
+      true
+      (List.exists
+         (fun (tag, fields) ->
+           tag = "cache"
+           && List.assoc_opt "outcome" fields = Some (Trace.S outcome))
+         fs);
+    Alcotest.(check int)
+      (label ^ ": one revalidated fact")
+      1
+      (List.length (List.filter (fun (tag, _) -> tag = "revalidated") fs))
+  in
+  let explained () =
+    match Service.query_explained svc q with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "explained query failed: %s" msg
+  in
+  check_reply "retraced reply" (explained ()) "hit-retraced";
+  (* The upgraded entry now has a trace: the next explained hit replays
+     it, provenance included and not duplicated. *)
+  check_reply "upgraded entry" (explained ()) "hit"
 
 let test_session_artifact_carried () =
   let svc = hep_service () in
@@ -649,6 +731,10 @@ let suite =
      test_session_retract_and_noops);
     ("session: log, stats and error atomicity", `Quick,
      test_session_log_and_errors);
+    ("session: log_entries counter tracks the session log", `Quick,
+     test_session_log_counter);
+    ("session: retrace of a revalidated entry keeps its provenance", `Quick,
+     test_session_retrace_keeps_provenance);
     ("session: evidence-only delta carries the compiled artifact", `Quick,
      test_session_artifact_carried);
     ("server: NDJSON session", `Quick, test_server_session);
