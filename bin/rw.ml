@@ -248,13 +248,10 @@ let query_cmd =
 (* batch                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let service_config ?(no_compiled = false) cache_size budget =
+let service_config cache_size budget =
   {
     Rw_service.Service.default_config with
     Rw_service.Service.cache_capacity = cache_size;
-    compiled_capacity =
-      (if no_compiled then 0
-       else Rw_service.Service.default_config.Rw_service.Service.compiled_capacity);
     budget;
   }
 
@@ -262,12 +259,9 @@ let read_query_lines = function
   | "-" -> In_channel.input_lines stdin
   | path -> In_channel.with_open_text path In_channel.input_lines
 
-let run_batch kb_path queries_path cache_size budget no_compiled jobs json
-    verbose =
+let run_batch kb_path queries_path cache_size budget jobs json verbose =
   let svc =
-    Rw_service.Service.create
-      ~config:(service_config ~no_compiled cache_size budget)
-      ()
+    Rw_service.Service.create ~config:(service_config cache_size budget) ()
   in
   match Rw_service.Service.load_kb_file svc kb_path with
   | Error msg ->
@@ -324,13 +318,11 @@ let run_batch kb_path queries_path cache_size budget no_compiled jobs json
           (stats.Rw_service.Service.cache.Rw_service.Lru.hits
           + stats.Rw_service.Service.cache.Rw_service.Lru.misses)
           !failures;
-        match stats.Rw_service.Service.compiled with
-        | None -> ()
-        | Some c ->
-          Fmt.epr "-- compiled KBs: %d reuses, %d compiles (%.1f ms compiling)@."
-            c.Rw_service.Service.compiled_cache.Rw_service.Lru.hits
-            c.Rw_service.Service.compiles
-            c.Rw_service.Service.compile_ms_total
+        let c = stats.Rw_service.Service.compiled in
+        Fmt.epr "-- compiled KBs: %d reuses, %d compiles (%.1f ms compiling)@."
+          c.Rw_service.Service.compiled_cache.Rw_service.Lru.hits
+          c.Rw_service.Service.compiles
+          c.Rw_service.Service.compile_ms_total
       end;
       if !failures > 0 then exit_query_error else 0)
 
@@ -357,16 +349,6 @@ let budget_arg =
           "Per-query wall-clock budget. On expiry the request degrades to \
            the rules engine's provably-sound answer instead of blocking.")
 
-let no_compiled_arg =
-  Arg.(
-    value & flag
-    & info [ "no-compiled" ]
-        ~doc:
-          "Disable the compiled-KB artifact cache: every query rebuilds \
-           the KB's statistical index and re-solves its maximum-entropy \
-           point from scratch. Answers are bit-identical either way; this \
-           flag exists for measurement and for bug isolation.")
-
 let batch_cmd =
   let doc = "evaluate a file or stream of queries against one resident KB" in
   let man =
@@ -383,13 +365,13 @@ let batch_cmd =
     (Cmd.info "batch" ~doc ~man ~exits:common_exits)
     Term.(
       const run_batch $ kb_arg $ queries_arg $ cache_arg $ budget_arg
-      $ no_compiled_arg $ pool_jobs_arg $ json_arg $ verbose_arg)
+      $ pool_jobs_arg $ json_arg $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run_serve kb_path cache_size budget no_compiled store_path no_store jobs
+let run_serve kb_path cache_size budget store_path no_store jobs
     listen max_clients idle_timeout verbose =
   (* Replies own stdout; logging goes to stderr unconditionally. *)
   Logs.set_reporter (Logs_fmt.reporter ~app:Fmt.stderr ~dst:Fmt.stderr ());
@@ -427,7 +409,7 @@ let run_serve kb_path cache_size budget no_compiled store_path no_store jobs
   | Ok store -> (
     let svc =
       Rw_service.Service.create
-        ~config:(service_config ~no_compiled cache_size budget)
+        ~config:(service_config cache_size budget)
         ?store ()
     in
     let serve () =
@@ -542,7 +524,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc ~man ~exits:common_exits)
     Term.(
       const run_serve $ serve_kb_arg $ cache_arg $ budget_arg
-      $ no_compiled_arg $ store_path_opt_arg $ no_store_arg $ pool_jobs_arg
+      $ store_path_opt_arg $ no_store_arg $ pool_jobs_arg
       $ listen_arg $ max_clients_arg $ idle_timeout_arg $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -651,8 +633,9 @@ let run_compile kb_path json =
   | Ok kb ->
     let module C = Rw_compile.Compiled_kb in
     let c = C.compile kb in
-    let s = C.stats c in
+    (* The profile solves the schedule, so the stats count its cells. *)
     let profile = C.entropy_profile c in
+    let s = C.stats c in
     if json then begin
       let module J = Rw_service.Json in
       let opt_int = function Some n -> J.Int n | None -> J.Null in
@@ -716,13 +699,14 @@ let compile_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Runs the one-time compilation pass the service layer performs \
-         behind $(b,rw serve)/$(b,rw batch): canonical digest, conjunct \
-         split, statistical-statement index, unary atom vocabulary, and \
-         the pre-solved maximum-entropy point at every tolerance of the \
-         τ̄-schedule (with its entropy profile). Useful for inspecting \
-         what queries against this KB will reuse, and for timing the \
-         compile itself.";
+        "Runs the compilation pass every dispatch performs (the service \
+         layer keeps its result resident behind $(b,rw serve)/$(b,rw \
+         batch)): conjunct split, statistical-statement index and unary \
+         atom vocabulary, plus the canonical digest. It then solves the \
+         maximum-entropy point at every tolerance of the τ̄-schedule \
+         (with its entropy profile), which a session fills on first \
+         use. Useful for inspecting what queries against this KB will \
+         reuse; the reported compile time excludes the solves.";
     ]
   in
   Cmd.v
@@ -945,7 +929,7 @@ let run_series kb_path query_src sizes tol_scale =
             Fmt.epr "unary engine cannot handle this KB: %s@." why;
             raise Exit)
         sizes;
-      let a = Maxent_engine.estimate ~kb query in
+      let a = Maxent_engine.estimate (Rw_compile.Compiled_kb.compile kb) query in
       Fmt.pr "# N->inf asymptote: %a@." Answer.pp a;
       if !printed = 0 then 1 else 0)
 
@@ -1107,8 +1091,8 @@ let fuzz_cmd =
          applicable engines agree within tolerance, Pr(φ)+Pr(¬φ)=1, \
          canonically-equivalent variants get identical digests and answers, \
          cached answers match direct dispatch, exact finite-N series \
-         converge, the parser is total on mutated input, and compiled-KB \
-         artifacts leave answers bit-identical.";
+         converge, the parser is total on mutated input, and a warm \
+         compiled-KB artifact answers bit-identically to a fresh one.";
       `P
         "Failures are minimized by a greedy shrinker and printed as a \
          reproduction recipe; $(b,--corpus) additionally writes each \

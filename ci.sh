@@ -17,8 +17,8 @@ dune exec bin/rw.exe -- query \
 
 # Differential fuzz: a fixed-seed budgeted sweep of the metamorphic
 # oracle suite (engine agreement, duality, canonicalization, cache,
-# convergence, parser totality, compiled-artifact answer identity,
-# belief-change session soundness).
+# convergence, parser totality, explain-trace consistency, warm-vs-fresh
+# compiled-artifact answer identity, belief-change session soundness).
 # Any violation fails the gate and the
 # report prints the shrunk counterexample. ~8 min on a single-core box
 # (case cost is long-tailed — a few generated KBs dominate); the
@@ -32,7 +32,7 @@ dune exec bin/rw.exe -- fuzz --seed 42 --cases 20 --jobs 2
 # (seeds 708734350365, 764477501514, 1096281972639 — minimized into
 # test/fuzz_corpus/agreement-mc-tilt-*.case) must stay at 0 failures.
 # Restricted to the agreement oracle to keep the gate's runtime
-# proportionate (~7 min; the full eight-oracle 500-case sweep is
+# proportionate (~7 min; the full nine-oracle 500-case sweep is
 # ~45 min and stays a manual step — see EXPERIMENTS.md).
 dune exec bin/rw.exe -- fuzz --seed 42 --cases 500 --oracle agreement \
   --jobs 2
@@ -334,36 +334,32 @@ case $(printf '%s\n' "$sess_stats" | tail -n 1) in
      printf '%s\n' "$sess_stats" >&2; exit 1 ;;
 esac
 
-# Compiled-KB tier: a 200-query same-KB batch must produce replies
-# byte-identical with and without the compiled-artifact cache, modulo
-# the per-reply timing fields (strip_reply above). The queries are all
-# distinct, so nothing is served by the answer LRU — every reply goes
-# through an engine, once against the shared artifact and once from
-# scratch. This is the whole-pipeline statement of the artifact's
-# answers-unchanged contract.
-compile_dir=$(mktemp -d)
-qfile="$compile_dir/queries.txt"
-i=0
-while [ "$i" -lt 200 ]; do echo "Hep(C$i)"; i=$((i + 1)); done > "$qfile"
-with_c=$(dune exec bin/rw.exe -- batch --kb examples/kb/hepatitis.kb \
-  --queries "$qfile" --json | strip_reply)
-without_c=$(dune exec bin/rw.exe -- batch --kb examples/kb/hepatitis.kb \
-  --queries "$qfile" --json --no-compiled | strip_reply)
-if [ "$with_c" != "$without_c" ]; then
-  echo "ci: compiled-KB tier changed answers" >&2
-  echo "--- with compiled cache ---" >&2; printf '%s\n' "$with_c" >&2
-  echo "--- without (--no-compiled) ---" >&2; printf '%s\n' "$without_c" >&2
-  exit 1
-fi
-rm -rf "$compile_dir"
+# Compiled-KB tier: the compile runs outside the request budget, so a
+# budget shorter than any solve still leaves the artifact resident —
+# three queries against one KB compile it exactly once. (Answer
+# identity of a shared artifact against a fresh one is pinned by the
+# fuzzer's `compiled` oracle and the simulator's agreement invariant.)
+budget_stats=$(printf '%s\n' \
+  '{"op":"query","query":"Fly(Opus)"}' \
+  '{"op":"query","query":"Swims(Opus)"}' \
+  '{"op":"query","query":"Feathered(Opus)"}' \
+  '{"op":"stats"}' \
+  | _build/default/bin/rw.exe serve --kb examples/kb/taxonomy.kb \
+      --budget 0.0001 2> /dev/null)
+case $(printf '%s\n' "$budget_stats" | tail -n 1) in
+  *'"compiles":1'*) ;;
+  *) echo "ci: a short budget kept the compiled artifact from warming" >&2
+     printf '%s\n' "$budget_stats" >&2; exit 1 ;;
+esac
 
-# Smoke: `rw compile` builds and describes the artifact — every
-# tolerance in the schedule must presolve on this KB.
+# Smoke: `rw compile` builds and describes the artifact, solving its
+# entropy profile — every tolerance in the schedule must solve on this
+# KB.
 dune exec bin/rw.exe -- compile --kb examples/kb/hepatitis.kb --json \
   | grep -q '"presolved":6'
 
 # Smoke: the largest corpus KB (128 atoms, 10 priced constraint rows)
-# presolves its whole schedule — the maxent dual converges at every
+# solves its whole schedule — the maxent dual converges at every
 # tolerance instead of reporting one infeasible.
 dune exec bin/rw.exe -- compile --kb examples/kb/taxonomy.kb \
   | grep -q '6 tolerance(s) pre-solved, 0 infeasible'
@@ -379,9 +375,11 @@ dune exec bin/rw.exe -- query --kb examples/kb/tweety.kb \
 # Docs: the TUTORIAL §11 trace snippet is regenerated from the binary
 # and diffed against the committed copy, so the walkthrough can never
 # drift from what `rw query --explain` actually prints. Timings are
-# masked — the one non-deterministic part of a trace.
+# masked — the one non-deterministic part of a trace: span durations
+# and timing fields such as the compiled-kb fact's compile_ms.
 fresh=$(dune exec bin/rw.exe -- query --kb examples/kb/tweety.kb \
-  --query 'Fly(Tweety)' --explain | sed 's/[0-9][0-9.]* ms/_ ms/g')
+  --query 'Fly(Tweety)' --explain \
+  | sed -e 's/[0-9][0-9.]* ms/_ ms/g' -e 's/_ms=[^ ]*/_ms=_/g')
 committed=$(sed -n '/trace-snippet:begin/,/trace-snippet:end/p' doc/TUTORIAL.md \
   | sed -e '/trace-snippet/d' -e '/^```/d')
 if [ "$fresh" != "$committed" ]; then

@@ -57,7 +57,9 @@ let () =
         [ 0.05; 0.025; 0.0125; 0.00625; 0.003125 ]
     in
     let a =
-      Maxent_engine.estimate ~tols ~kb:(nixon ~alpha:1.0 ~beta:0.0 ~i1:1 ~i2:2) query
+      Maxent_engine.estimate ~tols
+        (Rw_compile.Compiled_kb.compile (nixon ~alpha:1.0 ~beta:0.0 ~i1:1 ~i2:2))
+        query
     in
     Fmt.pr "  %-40s %a@." label Answer.pp a
   in

@@ -51,7 +51,10 @@ let () =
   let kb = parse "forall x (Giraffe(x) => Tall(x))" in
   let query = parse "Tall(C)" in
   let rw =
-    match Randworlds.Answer.point_value (Randworlds.Maxent_engine.estimate ~kb query) with
+    match
+      Randworlds.Answer.point_value
+        (Randworlds.Maxent_engine.estimate (Rw_compile.Compiled_kb.compile kb) query)
+    with
     | Some v -> v
     | None -> Float.nan
   in

@@ -59,7 +59,7 @@ let () =
         (fun scale -> Tolerance.make ~scale ~powers ())
         [ 0.05; 0.025; 0.0125; 0.00625; 0.003125 ]
     in
-    let a = Maxent_engine.estimate ~tols ~kb dead in
+    let a = Maxent_engine.estimate ~tols (Rw_compile.Compiled_kb.compile kb) dead in
     Fmt.pr "  %-52s %a@." label Answer.pp a
   in
   probe "equal strengths (the naive reading):" [];

@@ -10,8 +10,7 @@ open Syntax
 
 (* Every rules-engine theorem presupposes an (eventually) consistent
    KB; these two sound checks depend only on the KB, so they are
-   evaluated once per compile and stored as booleans. The uncompiled
-   path calls them directly. *)
+   evaluated once per compile and stored as booleans. *)
 
 let is_ground f = Syntax.Sset.is_empty (Syntax.all_vars_formula f)
 
@@ -67,8 +66,6 @@ let degenerate_self_conditional indexed =
 
 type unary_data = {
   parts : Analysis.parts;
-  allowed : Atoms.Set.t;
-  fact_atoms : (string * Atoms.Set.t) list;
   m : Mutex.t;
       (** orders solver/table memo fills across pool domains; held for
           the duration of a solve so concurrent queries compile each
@@ -78,7 +75,10 @@ type unary_data = {
 }
 
 type t = {
-  digest : string;
+  digest : string option Atomic.t;
+      (** the canonical digest, computed on first read; an [Atomic]
+          rather than a [Lazy] because one artifact is read from many
+          domains at once *)
   kb : Syntax.formula;
   vocab : Vocab.t;
   conjuncts : Syntax.formula list;
@@ -86,7 +86,6 @@ type t = {
   ground_inconsistent : bool;
   degenerate_inconsistent : bool;
   unary : unary_data option;
-  schedule : Tolerance.t list;
   compile_ms : float;
   uses : int Atomic.t;
   solve_hits : int Atomic.t;
@@ -96,8 +95,8 @@ type t = {
 }
 
 (* The maxent engine's default τ̄-schedule lives here (the engine
-   aliases it) so a compile pass with no explicit schedule pre-solves
-   exactly the tolerances the engine will ask for. *)
+   aliases it) so {!entropy_profile} describes exactly the tolerances
+   the engine will ask for. *)
 let default_schedule =
   Tolerance.schedule ~factor:0.5 ~steps:6 (Tolerance.uniform 0.02)
 
@@ -114,11 +113,11 @@ let tol_key (tol : Tolerance.t) =
     (pairs tol.Tolerance.weights)
     (pairs tol.Tolerance.powers)
 
-(* A fresh per-query analysis can reuse the compiled solver state only
-   when it describes the same optimisation problem: same atom universe
-   (the query introduced no new predicates) and the same classified
+(* A per-query analysis can reuse the compiled solver state only when
+   it describes the same optimisation problem: same atom universe (the
+   query introduced no new predicates) and the same classified
    conjuncts. Structural equality keeps this sound for any caller —
-   incompatible parts silently fall back to the from-scratch path. *)
+   incompatible parts are solved directly, unmemoised. *)
 let compatible_parts (u : unary_data) (parts : Analysis.parts) =
   parts.Analysis.unsupported = []
   && Atoms.predicates parts.Analysis.universe
@@ -127,14 +126,12 @@ let compatible_parts (u : unary_data) (parts : Analysis.parts) =
   && parts.Analysis.statisticals = u.parts.Analysis.statisticals
   && parts.Analysis.const_facts = u.parts.Analysis.const_facts
 
-let compatible t parts =
-  match t.unary with Some u -> compatible_parts u parts | None -> false
-
-(* One memoised maxent solve. Expected exceptions (infeasible KB at
-   this tolerance, non-linear fragment) are outcomes too: they are
-   cached and re-raised, so the compiled path raises exactly where the
-   from-scratch path would. Anything else (budget expiry, stack
-   overflow) propagates uncached. *)
+(* One memoised maxent solve: the cell fills on first use. Expected
+   exceptions (infeasible KB at this tolerance, non-linear fragment)
+   are outcomes too: they are cached and re-raised, so a memo hit
+   raises exactly where a direct solve would. Anything else (budget
+   expiry, stack overflow) propagates uncached and leaves the cell
+   empty for the next request. *)
 let solve_memo t (u : unary_data) tol =
   let key = tol_key tol in
   Mutex.protect u.m (fun () ->
@@ -160,12 +157,6 @@ let solve t parts tol =
     match solve_memo t u tol with Ok s -> s | Error e -> raise e)
   | _ -> Solver.solve parts tol
 
-let solver t parts =
-  match t.unary with
-  | Some u when compatible_parts u parts ->
-    Some (fun tol -> match solve_memo t u tol with Ok s -> s | Error e -> raise e)
-  | _ -> None
-
 let profile_table t parts ~n ~tol =
   match t.unary with
   | None -> None
@@ -187,58 +178,48 @@ let profile_table t parts ~n ~tol =
 (* Compilation                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let compile ?(schedule = default_schedule) kb =
-  Rw_prelude.Hook.fire "compile.kb";
-  let t0 = Unix.gettimeofday () in
-  let digest = Canonical.digest kb in
+let now_ms () = Rw_pool.Budget.now () *. 1000.0
+
+let unary_of parts =
+  {
+    parts;
+    m = Mutex.create ();
+    solutions = Hashtbl.create 16;
+    tables = Hashtbl.create 16;
+  }
+
+(* Everything but the unary memo state is a syntactic function of
+   the KB. The canonical digest is left for its first reader. *)
+let syntactic kb unary =
   let conjuncts = Analysis.split_conjuncts kb in
   let stat_index = List.map (fun f -> (f, Stat.of_conjunct f)) conjuncts in
-  let ground_inconsistent = ground_contradiction conjuncts in
-  let degenerate_inconsistent = degenerate_self_conditional stat_index in
+  {
+    digest = Atomic.make None;
+    kb;
+    vocab = Vocab.of_formula kb;
+    conjuncts;
+    stat_index;
+    ground_inconsistent = ground_contradiction conjuncts;
+    degenerate_inconsistent = degenerate_self_conditional stat_index;
+    unary;
+    compile_ms = 0.0;
+    uses = Atomic.make 0;
+    solve_hits = Atomic.make 0;
+    solve_misses = Atomic.make 0;
+    table_hits = Atomic.make 0;
+    table_misses = Atomic.make 0;
+  }
+
+(* The syntactic pass plus the unary analysis. No solve runs here:
+   each τ̄ cell of the memo fills on first use, so a single-shot
+   dispatch pays only for the solves it asks for. *)
+let compile kb =
+  let t0 = now_ms () in
+  let parts = Analysis.analyze kb in
   let unary =
-    let parts = Analysis.analyze kb in
-    if not (Analysis.fully_supported parts) then None
-    else
-      Some
-        {
-          parts;
-          allowed = Analysis.allowed_atoms parts;
-          fact_atoms =
-            List.map
-              (fun c -> (c, Analysis.fact_atoms parts c))
-              (Analysis.constants parts);
-          m = Mutex.create ();
-          solutions = Hashtbl.create 16;
-          tables = Hashtbl.create 16;
-        }
+    if Analysis.fully_supported parts then Some (unary_of parts) else None
   in
-  let t =
-    {
-      digest;
-      kb;
-      vocab = Vocab.of_formula kb;
-      conjuncts;
-      stat_index;
-      ground_inconsistent;
-      degenerate_inconsistent;
-      unary;
-      schedule;
-      compile_ms = 0.0;
-      uses = Atomic.make 0;
-      solve_hits = Atomic.make 0;
-      solve_misses = Atomic.make 0;
-      table_hits = Atomic.make 0;
-      table_misses = Atomic.make 0;
-    }
-  in
-  (* Pre-solve the τ̄-schedule: the entropy-maximising point is a
-     function of the KB alone, so every query sharing this KB reads
-     these solutions instead of re-running the optimiser. Infeasible
-     tolerances are legitimate pre-computed outcomes. *)
-  (match t.unary with
-  | Some u -> List.iter (fun tol -> ignore (solve_memo t u tol)) schedule
-  | None -> ());
-  { t with compile_ms = (Unix.gettimeofday () -. t0) *. 1000.0 }
+  { (syntactic kb unary) with compile_ms = now_ms () -. t0 }
 
 (* ------------------------------------------------------------------ *)
 (* Incremental update                                                 *)
@@ -257,63 +238,42 @@ let same_solve_problem (a : Analysis.parts) (b : Analysis.parts) =
   && a.Analysis.statisticals = b.Analysis.statisticals
 
 let update old kb =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_ms () in
   let parts = Analysis.analyze kb in
   match old.unary with
   | Some u when Analysis.fully_supported parts && same_solve_problem u.parts parts
     ->
-    (* Dirty parts only: digest, conjunct split, statistical index and
-       the inconsistency pre-checks are recomputed (cheap, syntactic);
-       the unary analysis adopts the new constant facts; the solved
-       τ̄-schedule and profile tables are carried over verbatim. *)
-    let conjuncts = Analysis.split_conjuncts kb in
-    let stat_index = List.map (fun f -> (f, Stat.of_conjunct f)) conjuncts in
+    (* The syntactic pass is redone; the unary analysis adopts the new
+       constant facts; the solved cells and profile tables are carried
+       over verbatim. *)
     let solutions, tables =
       Mutex.protect u.m (fun () ->
           (Hashtbl.copy u.solutions, Hashtbl.copy u.tables))
     in
-    let t =
-      {
-        digest = Canonical.digest kb;
-        kb;
-        vocab = Vocab.of_formula kb;
-        conjuncts;
-        stat_index;
-        ground_inconsistent = ground_contradiction conjuncts;
-        degenerate_inconsistent = degenerate_self_conditional stat_index;
-        unary =
-          Some
-            {
-              parts;
-              allowed = Analysis.allowed_atoms parts;
-              fact_atoms =
-                List.map
-                  (fun c -> (c, Analysis.fact_atoms parts c))
-                  (Analysis.constants parts);
-              m = Mutex.create ();
-              solutions;
-              tables;
-            };
-        schedule = old.schedule;
-        compile_ms = 0.0;
+    ( {
+        (syntactic kb (Some { (unary_of parts) with solutions; tables })) with
         (* Seed [uses] from the predecessor: nobody re-paid a solve, so
            the first consumer of the carried artifact reports "reused",
            not "fresh-solve". *)
         uses = Atomic.make (max 1 (Atomic.get old.uses));
-        solve_hits = Atomic.make 0;
-        solve_misses = Atomic.make 0;
-        table_hits = Atomic.make 0;
-        table_misses = Atomic.make 0;
-      }
-    in
-    ({ t with compile_ms = (Unix.gettimeofday () -. t0) *. 1000.0 }, true)
-  | _ -> (compile ~schedule:old.schedule kb, false)
+        compile_ms = now_ms () -. t0;
+      },
+      true )
+  | _ -> (compile kb, false)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors and observability                                        *)
 (* ------------------------------------------------------------------ *)
 
-let digest t = t.digest
+(* Set once: racing first readers compute the same string, and the
+   first store wins. *)
+let digest t =
+  match Atomic.get t.digest with
+  | Some d -> d
+  | None ->
+    ignore (Atomic.compare_and_set t.digest None (Some (Canonical.digest t.kb)));
+    Option.get (Atomic.get t.digest)
+
 let kb t = t.kb
 
 (* Canonical digests identify KBs up to alpha/AC renaming, so two
@@ -321,35 +281,24 @@ let kb t = t.kb
    on structural identity (physical fast path) before reusing. *)
 let matches t kb = t.kb == kb || t.kb = kb
 let vocab t = t.vocab
-let conjuncts t = t.conjuncts
 let stat_index t = t.stat_index
 let ground_inconsistent t = t.ground_inconsistent
 let degenerate_inconsistent t = t.degenerate_inconsistent
 let compile_ms t = t.compile_ms
 let use t = Atomic.fetch_and_add t.uses 1
-let allowed_atoms t = Option.map (fun u -> u.allowed) t.unary
-let fact_atom_sets t = match t.unary with Some u -> u.fact_atoms | None -> []
-let parts t = Option.map (fun u -> u.parts) t.unary
-
-let atom_count t =
-  Option.map (fun u -> Atoms.num_atoms u.parts.Analysis.universe) t.unary
-
-(* Entropy at each pre-solved schedule point — the artifact's entropy
-   profile, for [rw compile] inspection and tests. *)
+(* Entropy at each point of the default schedule, solving (and so
+   filling) any cell not yet solved — the artifact's entropy profile,
+   for [rw compile] inspection and tests. *)
 let entropy_profile t =
   match t.unary with
   | None -> []
   | Some u ->
     List.map
       (fun tol ->
-        let h =
-          Mutex.protect u.m (fun () ->
-              match Hashtbl.find_opt u.solutions (tol_key tol) with
-              | Some (Ok s) -> Some s.Solver.entropy
-              | Some (Error _) | None -> None)
-        in
-        (tol, h))
-      t.schedule
+        match solve_memo t u tol with
+        | Ok s -> (tol, Some s.Solver.entropy)
+        | Error _ -> (tol, None))
+      default_schedule
 
 type stats = {
   digest : string;
@@ -383,11 +332,15 @@ let stats t =
           (ok, bad, Hashtbl.length u.tables))
   in
   {
-    digest = t.digest;
+    digest = digest t;
     conjunct_count = List.length t.conjuncts;
     stat_count = List.length (List.filter_map snd t.stat_index);
-    atoms = atom_count t;
-    constants = List.length (fact_atom_sets t);
+    atoms =
+      Option.map (fun u -> Atoms.num_atoms u.parts.Analysis.universe) t.unary;
+    constants =
+      (match t.unary with
+      | Some u -> List.length (Analysis.constants u.parts)
+      | None -> 0);
     presolved;
     infeasible;
     tables;

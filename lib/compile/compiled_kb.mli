@@ -1,71 +1,70 @@
-(** Compiled knowledge bases.
+(** Compiled knowledge bases: the one KB input of every engine.
 
-    Every query against a KB used to re-derive the same machinery from
-    scratch: split the KB into conjuncts, recognise its statistical
-    statements, build the unary atom universe and ε-constraints, and —
-    most expensively — re-run the entropy-maximising solver for every
-    tolerance in the τ̄-schedule. All of that depends only on the KB
-    (Grove–Halpern–Koller: the maxent point over atom proportions is a
-    function of the constraints alone), so a serve/batch session
-    answering many queries over one KB can {e compile} the KB once and
-    share the artifact.
+    Much of what a query against a KB needs depends only on the KB:
+    its conjunct split, its recognised statistical statements, its
+    unary atom universe and ε-constraints, and — most expensively —
+    the entropy-maximising point for every tolerance in the
+    τ̄-schedule (Grove–Halpern–Koller: the maxent point over atom
+    proportions is a function of the constraints alone). A {!t} holds
+    that work once per KB, so every query sharing the KB shares it.
 
-    [compile kb] performs the one-time pass and returns a {!t} holding:
+    [compile kb] is the syntactic pass only, and returns a {!t}
+    holding:
 
-    - the KB's canonical digest (cache key at the service layer),
-    - its split conjuncts and the pre-indexed statistical statements
-      the rules engine matches reference classes against,
+    - the KB's split conjuncts and the pre-indexed statistical
+      statements the rules engine matches reference classes against,
     - the two query-independent eventual-inconsistency pre-checks,
+    - the KB's vocabulary (merged with a query's where one is needed),
     - when the KB sits in the fully-supported unary fragment: the
-      analysed {!Rw_unary.Analysis.parts}, the per-constant atom
-      bitsets, the pre-solved maxent point for every tolerance in the
-      τ̄-schedule (with its entropy profile), and memo tables for
-      further solves and for unary profile-counting tables,
-    - the KB's vocabulary (reused when merging with a query's).
+      analysed {!Rw_unary.Analysis.parts} and memo tables for maxent
+      solves and for unary profile-counting tables.
+
+    Nothing is solved at compile time: each memo cell (one tolerance,
+    or one domain size and tolerance) fills the first time an engine
+    asks for it, and stays filled for every later query. The canonical
+    digest is likewise computed on first read. So compiling costs a
+    single-shot query next to nothing, and a session pays each solve
+    once.
 
     Thread-safety: one artifact may be used concurrently from many
-    pool domains. The memo tables are mutex-guarded and fill each
-    (tolerance / size) cell exactly once.
+    pool domains. The memo tables are mutex-guarded and fill each cell
+    exactly once; the digest is set once through an [Atomic].
 
-    Soundness: reuse is gated on {!compatible} — structural equality
-    of the per-query analysis against the compiled one — so engines
-    can always ask; an incompatible query silently falls back to the
-    from-scratch path and answers are identical either way. *)
+    Soundness: memo reuse is gated on structural equality of the
+    per-query analysis with the compiled one, so engines can always
+    ask; a query that extends the problem (a new predicate) is solved
+    directly and answers are identical either way. *)
 
 open Rw_logic
 open Rw_unary
 
 type t
 
-val compile : ?schedule:Tolerance.t list -> Syntax.formula -> t
-(** One-time compilation pass. [schedule] defaults to
-    {!default_schedule} and is pre-solved eagerly when the KB is in the
-    unary fragment. *)
+val compile : Syntax.formula -> t
+(** The syntactic compilation pass; no solve runs. *)
 
 val default_schedule : Tolerance.t list
-(** The τ̄-schedule pre-solved by default — the same schedule the
-    maxent engine walks, so its solves all hit the artifact. *)
+(** The maxent engine's τ̄-schedule, the one {!entropy_profile}
+    describes. *)
 
 val update : t -> Syntax.formula -> t * bool
 (** [update old kb] compiles an artifact for [kb] — a small delta of
     [old]'s KB — reusing [old] where the delta leaves it undisturbed.
-    The digest, conjunct split, statistical index and inconsistency
-    pre-checks are always recomputed (cheap, purely syntactic). When
-    both KBs are in the unary fragment and pose the {e same
-    optimisation problem} — equal atom universe, universal and
-    statistical constraints; only the evidence about individuals
-    changed — the pre-solved maxent schedule and profile-table memos
-    are carried over instead of re-solved, which is sound because the
-    solver never reads the constant facts. Returns [(artifact,
-    carried)]; when the delta disturbs the problem the result is
-    exactly [compile ~schedule kb] (a full recompile, [carried =
-    false]). The old artifact is left untouched and remains valid for
-    the old KB. *)
+    The syntactic pass is always redone. When both KBs are in the
+    unary fragment and pose the {e same optimisation problem} — equal
+    atom universe, universal and statistical constraints; only the
+    evidence about individuals changed — the solved maxent cells and
+    profile-table memos are carried over instead of re-solved, which
+    is sound because the solver never reads the constant facts.
+    Returns [(artifact, carried)]; when the delta disturbs the problem
+    the result is exactly [compile kb] ([carried = false]). The old
+    artifact is left untouched and remains valid for the old KB. *)
 
 (** {1 Precomputed KB structure} *)
 
 val digest : t -> string
-(** Canonical digest of the compiled KB ({!Rw_logic.Canonical.digest}). *)
+(** Canonical digest of the compiled KB ({!Rw_logic.Canonical.digest}),
+    computed on first read. *)
 
 val kb : t -> Syntax.formula
 
@@ -75,7 +74,6 @@ val matches : t -> Syntax.formula -> bool
     verify this before reusing an artifact. *)
 
 val vocab : t -> Vocab.t
-val conjuncts : t -> Syntax.formula list
 
 val stat_index : t -> (Syntax.formula * Stat.t option) list
 (** Each conjunct paired with its recognised statistical reading, in
@@ -84,55 +82,38 @@ val stat_index : t -> (Syntax.formula * Stat.t option) list
 val ground_inconsistent : t -> bool
 val degenerate_inconsistent : t -> bool
 
-val parts : t -> Analysis.parts option
-(** The compiled unary analysis, or [None] outside the fully-supported
-    fragment (e.g. a disjunctive KB). *)
-
-val allowed_atoms : t -> Atoms.Set.t option
-val fact_atom_sets : t -> (string * Atoms.Set.t) list
-val atom_count : t -> int option
-
 (** {1 Solver reuse} *)
 
-val compatible : t -> Analysis.parts -> bool
-(** Does a per-query analysis describe the same optimisation problem
-    as the compiled one (same universe, universals, statisticals and
-    constant facts; nothing unsupported)? *)
-
 val solve : t -> Analysis.parts -> Tolerance.t -> Solver.solution
-(** Memoised {!Rw_unary.Solver.solve} when [compatible], the plain
-    solver otherwise. Cached [Infeasible]/[Unsupported] outcomes are
-    re-raised, so failure behaviour matches the from-scratch path. *)
-
-val solver : t -> Analysis.parts -> (Tolerance.t -> Solver.solution) option
-(** [Some] memoised solve function when [compatible], else [None] —
-    the form engines thread through {!Rw_unary.Solver.conditional_distribution}
-    and the MC importance tilt. *)
+(** {!Rw_unary.Solver.solve}, memoised when the per-query analysis
+    describes the compiled problem (same universe, universals,
+    statisticals and constant facts; nothing unsupported) and direct
+    otherwise. Cached [Infeasible]/[Unsupported] outcomes are
+    re-raised, so failure behaviour matches a direct solve. A solve
+    cut short by a budget expiry leaves its cell empty. *)
 
 val profile_table :
   t -> Analysis.parts -> n:int -> tol:Tolerance.t -> Profile.table option
 (** Memoised {!Rw_unary.Profile.stat_table} for a domain size and
-    tolerance; [None] when incompatible or the table is not
-    precomputable (statistics mentioning constants, or too many
-    satisfying profiles to store). *)
-
-(** {1 Pre-checks shared with the uncompiled path} *)
-
-val ground_contradiction : Syntax.formula list -> bool
-val degenerate_self_conditional : (Syntax.formula * Stat.t option) list -> bool
+    tolerance; [None] when the analysis does not describe the compiled
+    problem or the table is not precomputable (statistics mentioning
+    constants, or too many satisfying profiles to store). *)
 
 (** {1 Observability} *)
 
 val compile_ms : t -> float
+(** Milliseconds on the monotonic clock spent in {!compile} (or
+    {!update}); solves are not included. *)
 
 val use : t -> int
 (** Record one consumption of the artifact and return the {e previous}
-    use count — 0 means this answer paid for the compile (a fresh
-    solve), >0 means the maxent point was reused. *)
+    use count — 0 means this is the artifact's first answer (its
+    solves are fresh), >0 means its filled cells are reused. *)
 
 val entropy_profile : t -> (Tolerance.t * float option) list
-(** Entropy of the pre-solved maxent point at each schedule tolerance
-    ([None] where infeasible or not in the unary fragment). *)
+(** Entropy of the maxent point at each {!default_schedule} tolerance
+    ([None] where infeasible); [[]] outside the unary fragment. Solves
+    (and so fills) every cell not yet solved. *)
 
 type stats = {
   digest : string;
@@ -140,8 +121,8 @@ type stats = {
   stat_count : int;
   atoms : int option;
   constants : int;
-  presolved : int;
-  infeasible : int;
+  presolved : int;  (** solve cells filled with a maxent point so far *)
+  infeasible : int;  (** solve cells filled with an infeasibility *)
   tables : int;
   solve_hits : int;
   solve_misses : int;

@@ -27,10 +27,10 @@
       the trace's last engine-selected fact names the engine that
       signed the answer, and the [--explain-json] encoding survives a
       JSON round trip with that consistency intact;
-    - {b compiled}: dispatching with a pre-compiled KB artifact
-      ({!Rw_compile.Compiled_kb}) returns the bit-identical verdict
-      and interval of the from-scratch path, signed by the same
-      engine;
+    - {b compiled}: dispatching on a warm KB artifact
+      ({!Rw_compile.Compiled_kb}) — one that has already answered the
+      negated query — returns the bit-identical verdict and interval
+      of a dispatch on a fresh artifact, signed by the same engine;
     - {b update}: a belief-change session ({!Rw_service.Service.update})
       fed a seeded mix of asserts, retracts and canonical no-ops —
       over vocabulary both fresh and overlapping the resident KB —

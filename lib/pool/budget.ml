@@ -3,9 +3,9 @@
 exception Expired
 
 (* The tick counter amortises the clock read: with a deadline armed,
-   only every 64th poll reads the clock. Engines poll from per-sample
-   loops whose bodies cost microseconds, so expiry is noticed within a
-   few dozen samples. *)
+   only the first and then every 64th poll read the clock. Engines
+   poll from per-sample loops whose bodies cost microseconds, so
+   expiry is noticed within a few dozen samples. *)
 type state = { mutable deadline : float option; mutable tick : int }
 
 let key : state Domain.DLS.key =
@@ -38,6 +38,9 @@ let with_inherited d f =
     let st = Domain.DLS.get key in
     let saved = st.deadline in
     install st d;
+    (* The first poll under a new deadline reads the clock, so a
+       deadline already past on entry stops the first polled loop. *)
+    st.tick <- -1;
     Fun.protect ~finally:(fun () -> st.deadline <- saved) f
 
 let with_deadline ~seconds f =

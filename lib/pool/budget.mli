@@ -25,11 +25,17 @@ exception Expired
     with catch-all handlers between a poll and the deadline's
     installer must re-raise it. *)
 
+val now : unit -> float
+(** Seconds on the monotonic clock, from an arbitrary origin: only
+    differences between two readings mean anything. The one clock for
+    deadlines, idle timeouts and compile timings. *)
+
 val check : unit -> unit
 (** Poll the current domain's deadline; raises {!Expired} when it has
     passed. Near-free when no deadline is installed (one domain-local
-    read); with one installed, the clock is consulted every 64th call
-    so the poll can sit in per-sample / per-world loops. *)
+    read); with one installed, the clock is consulted on the first
+    call under it and then every 64th call, so the poll can sit in
+    per-sample / per-world loops. *)
 
 val with_deadline : seconds:float -> (unit -> 'a) -> 'a
 (** [with_deadline ~seconds f] runs [f] with the current domain's

@@ -134,43 +134,50 @@ let selected trace reason (answer : Answer.t) =
 
 module Compiled_kb = Rw_compile.Compiled_kb
 
-(* Gate an artifact on structural identity with the KB actually being
-   queried: digests are canonical (alpha/AC), so a digest-keyed cache
-   can in principle hand back an artifact for a structurally different
-   formula — which must be ignored, not consumed. *)
-let checked_compiled compiled ~kb =
-  match compiled with
-  | Some c when Compiled_kb.matches c kb -> compiled
-  | _ -> None
+(* The one KB input of every engine: the caller's artifact when it is
+   structurally the KB being queried, a fresh compile otherwise.
+   Digests are canonical (alpha/AC), so a digest-keyed cache can in
+   principle hand back an artifact for a structurally different
+   formula — which must be replaced, not consumed. *)
+let artifact ~kb = function
+  | Some c when Compiled_kb.matches c kb -> c
+  | _ -> Compiled_kb.compile kb
 
-(* Record one consumption (provenance, satellite of the compile
-   subsystem): the use counter distinguishes the answer that paid for
-   the compile from answers reusing the pre-solved maxent point, and
-   the trace fact makes that visible to [--explain]. *)
-let consume_compiled trace compiled =
-  match compiled with
+(* Record one consumption (provenance): the use counter distinguishes
+   an artifact's first answer from answers reusing its filled cells,
+   and the trace fact makes that visible to [--explain]. The digest is
+   only computed when a trace asks for it. *)
+let consume trace c =
+  let prior = Compiled_kb.use c in
+  match trace with
   | None -> ()
-  | Some c ->
-    let prior = Compiled_kb.use c in
+  | Some tr ->
     let digest = Compiled_kb.digest c in
-    emit trace "compiled-kb"
+    Trace.fact tr "compiled-kb"
       [ ("digest", Trace.S (String.sub digest 0 (min 12 (String.length digest))));
         ("compile_ms", Trace.F (Compiled_kb.compile_ms c));
         ( "maxent_point",
           Trace.S (if prior > 0 then "reused" else "fresh-solve") )
       ]
 
+(* The vocabulary the literal engines range over. The artifact's KB
+   vocabulary merged with the query's is exactly
+   [Vocab.of_formulas [kb; query]] (both sort-unique their symbol
+   lists), so the KB is not re-scanned. *)
+let world_vocab c query =
+  Vocab.merge (Compiled_kb.vocab c) (Vocab.of_formula query)
+
 let rec infer ?(options = default_options) ?compiled ?trace ~kb query =
   Trace.span trace "dispatch" @@ fun () ->
-  let compiled = checked_compiled compiled ~kb in
-  consume_compiled trace compiled;
-  let rules_answer = Rules_engine.infer ?compiled ?trace ~kb query in
+  let c = artifact ~kb compiled in
+  consume trace c;
+  let rules_answer = Rules_engine.infer ?trace c query in
   match rules_answer.Answer.result with
   | Answer.Point _ | Answer.No_limit _ | Answer.Inconsistent ->
     selected trace "syntactic theorem application was definitive" rules_answer
   | Answer.Within interval -> begin
     (* Try to refine the interval to a point with the maxent engine. *)
-    match refine ~options ~compiled ~trace ~kb query with
+    match refine ~options ~trace c query with
     | Some a -> begin
       match Answer.point_value a with
       | Some v when Rw_prelude.Interval.mem ~eps:1e-6 v interval ->
@@ -221,24 +228,24 @@ let rec infer ?(options = default_options) ?compiled ?trace ~kb query =
           [ ("text",
              Trace.S "independence split abandoned: a part had no point value")
           ];
-        fallback ~options ~compiled ~trace ~kb query
+        fallback ~options ~trace ~kb c query
       end
     end
-    | _ -> fallback ~options ~compiled ~trace ~kb query
+    | _ -> fallback ~options ~trace ~kb c query
   end
 
-and refine ~options ~compiled ~trace ~kb query =
-  let a = Maxent_engine.estimate ?tols:options.tols ?compiled ?trace ~kb query in
+and refine ~options ~trace c query =
+  let a = Maxent_engine.estimate ?tols:options.tols ?trace c query in
   if Answer.definitive a then Some a else None
 
-and fallback ~options ~compiled ~trace ~kb query =
-  let a = Maxent_engine.estimate ?tols:options.tols ?compiled ?trace ~kb query in
+and fallback ~options ~trace ~kb c query =
+  let a = Maxent_engine.estimate ?tols:options.tols ?trace c query in
   if Answer.definitive a then
     selected trace "maxent concentration was definitive" a
   else begin
     let a =
       try
-        Unary_engine.estimate ?ns:options.unary_sizes ?compiled ?trace ~kb query
+        Unary_engine.estimate ?ns:options.unary_sizes ?trace c query
       with
       | Rw_pool.Budget.Expired as e -> raise e
       | _ -> Answer.make ~engine:"unary" (Answer.Not_applicable "engine error")
@@ -250,14 +257,7 @@ and fallback ~options ~compiled ~trace ~kb query =
         (Answer.make ~engine:"dispatch"
            (Answer.Not_applicable "no engine applicable (enum disabled)"))
     else begin
-      (* The artifact's KB vocabulary merged with the query's is exactly
-         [Vocab.of_formulas [kb; query]] (both sort-unique their symbol
-         lists), so the compiled path skips the KB re-scan. *)
-      let vocab =
-        match compiled with
-        | Some c -> Vocab.merge (Compiled_kb.vocab c) (Vocab.of_formula query)
-        | None -> Vocab.of_formulas [ kb; query ]
-      in
+      let vocab = world_vocab c query in
       (* A tighter guard than the raw engine's: the dispatcher is a
          default code path and must stay responsive; callers wanting
          heroic enumerations can invoke Enum_engine directly. When the
@@ -275,13 +275,13 @@ and fallback ~options ~compiled ~trace ~kb query =
           else a
         in
         selected trace "exhaustive enumeration over the (N, tau) grid" a
-      | _ -> monte_carlo ~options ~compiled ~trace ~vocab ~kb query None
+      | _ -> monte_carlo ~options ~trace c query None
       | exception Rw_model.Enum.Too_many_worlds m ->
-        monte_carlo ~options ~compiled ~trace ~vocab ~kb query (Some m)
+        monte_carlo ~options ~trace c query (Some m)
     end
   end
 
-and monte_carlo ~options ~compiled ~trace ~vocab ~kb query blown =
+and monte_carlo ~options ~trace c query blown =
   (match blown with
   | Some m ->
     emit trace "engine"
@@ -295,7 +295,7 @@ and monte_carlo ~options ~compiled ~trace ~vocab ~kb query blown =
   let a =
     Mc_engine.estimate ~seed:options.mc_seed ?samples:options.mc_samples
       ~jobs:options.jobs ?ns:options.mc_sizes ?ci_width:options.mc_ci_width
-      ?tols:options.tols ?compiled ?trace ~vocab ~kb query
+      ?tols:options.tols ?trace c query
   in
   let a =
     match blown with
@@ -373,9 +373,9 @@ and cross_check ~options ~trace ~vocab ~kb query answer =
 (** [degree_of_belief ~kb query] — the headline API:
     [Pr_∞(query | kb)] computed by the best applicable engine. Every
     call is credited to the winning engine in {!Instr}, which is what
-    the query service's [stats] reply reports. [?compiled] threads a
-    compiled artifact through every engine; answers are identical with
-    or without it, only faster. *)
+    the query service's [stats] reply reports. [?compiled] is an
+    artifact to reuse; without a matching one, the KB is compiled for
+    this call. *)
 let degree_of_belief ?options ?compiled ?trace ~kb query =
   let t0 = Instr.now () in
   let answer = infer ?options ?compiled ?trace ~kb query in
@@ -431,18 +431,12 @@ let applicable ?(options = default_options) eid ~kb query =
    Total: engines that raise on out-of-fragment input are caught and
    mapped to [Not_applicable], preserving the Answer contract. *)
 let run ?(options = default_options) ?compiled ?trace eid ~kb query =
-  let compiled = checked_compiled compiled ~kb in
-  consume_compiled trace compiled;
-  let enum_vocab () =
-    match compiled with
-    | Some c -> Vocab.merge (Compiled_kb.vocab c) (Vocab.of_formula query)
-    | None -> Vocab.of_formulas [ kb; query ]
-  in
+  let c = artifact ~kb compiled in
+  consume trace c;
   let answer =
     match eid with
-    | Rules -> Rules_engine.infer ?compiled ?trace ~kb query
-    | Maxent ->
-      Maxent_engine.estimate ?tols:options.tols ?compiled ?trace ~kb query
+    | Rules -> Rules_engine.infer ?trace c query
+    | Maxent -> Maxent_engine.estimate ?tols:options.tols ?trace c query
     | Unary -> (
       (* Only the fragment refusal is caught: [applicable] plus
          [Unsupported] cover every legitimate way the engine declines,
@@ -451,11 +445,11 @@ let run ?(options = default_options) ?compiled ?trace eid ~kb query =
          agreement oracle reports escaped exceptions as violations. *)
       try
         Unary_engine.estimate ?ns:options.unary_sizes ?tols:options.tols
-          ?compiled ?trace ~kb query
+          ?trace c query
       with Rw_unary.Profile.Unsupported why ->
         Answer.make ~engine:"unary" (Answer.Not_applicable why))
     | Enum -> (
-      let vocab = enum_vocab () in
+      let vocab = world_vocab c query in
       try
         Enum_engine.estimate ~max_log10_worlds:6.5 ?ns:options.enum_sizes
           ?tols:options.tols ?trace ~vocab ~kb query
@@ -467,11 +461,10 @@ let run ?(options = default_options) ?compiled ?trace eid ~kb query =
       | Invalid_argument why ->
         Answer.make ~engine:"enum" (Answer.Not_applicable why))
     | Mc -> (
-      let vocab = enum_vocab () in
       try
         Mc_engine.estimate ~seed:options.mc_seed ?samples:options.mc_samples
           ~jobs:options.jobs ?ns:options.mc_sizes ?ci_width:options.mc_ci_width
-          ?tols:options.tols ?compiled ?trace ~vocab ~kb query
+          ?tols:options.tols ?trace c query
       with Invalid_argument why ->
         Answer.make ~engine:"mc" (Answer.Not_applicable why))
   in

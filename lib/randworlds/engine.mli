@@ -57,13 +57,14 @@ val infer :
     and a final "engine-selected" fact naming the engine whose answer
     is returned ({!Rw_trace.Trace.selected_engine} reads it back).
 
-    [?compiled] supplies a pre-compiled artifact for [kb]
-    ({!Rw_compile.Compiled_kb.compile}): engines reuse its memoised
-    maxent solves, profile tables, statistical index and vocabulary
-    instead of recomputing them, and the trace gains a "compiled-kb"
-    fact (digest, compile time, reused vs fresh maxent point). Answers
-    are bit-identical with or without it. An artifact whose KB does
-    not structurally match [kb] is ignored. *)
+    Every engine reads the KB through one {!Rw_compile.Compiled_kb.t}:
+    [?compiled] when it structurally matches [kb] (a session's shared
+    artifact, whose filled solve and table cells are reused), otherwise
+    a fresh compile made for this call — the syntactic pass only, so
+    single-shot calls pay next to nothing for it. Sub-KBs of an
+    independence split are compiled the same way. The trace gains a
+    "compiled-kb" fact (digest, compile time, reused vs fresh maxent
+    point). *)
 
 val degree_of_belief :
   ?options:options ->
@@ -74,7 +75,7 @@ val degree_of_belief :
   Answer.t
 (** The headline API: [Pr_∞(query | kb)] by the best applicable
     engine, credited to that engine in {!Instr}. [?trace] and
-    [?compiled] as in {!infer}; passing [None] (the default) costs
+    [?compiled] as in {!infer}; tracing off (the default) costs
     nothing on the hot path. *)
 
 (** {2 Per-engine access}
@@ -111,4 +112,4 @@ val run :
     [Rw_model.Enum.Too_many_worlds], [Invalid_argument]) are mapped to
     [Answer.Not_applicable]. [?trace] records the engine's own facts
     plus an "engine-selected" fact marking the forced choice.
-    [?compiled] as in {!infer} — same answer, less recomputation. *)
+    [?compiled] as in {!infer}. *)

@@ -22,8 +22,8 @@ module Trace = Rw_trace.Trace
 
 module Compiled_kb = Rw_compile.Compiled_kb
 
-(* The engine's τ̄-schedule is owned by the compile subsystem, so that a
-   compiled KB's eagerly pre-solved schedule and the schedule walked
+(* The engine's τ̄-schedule is owned by the compile subsystem, so that
+   the entropy profile [rw compile] reports and the schedule walked
    here can never drift apart. *)
 let default_tols = Compiled_kb.default_schedule
 
@@ -194,7 +194,7 @@ let rec flatten_or = function
   | Or (a, b) -> flatten_or a @ flatten_or b
   | f -> [ f ]
 
-(** [belief_at ~kb ~query tol] — the degree of belief at one fixed
+(** [belief_at compiled ~query tol] — the degree of belief at one fixed
     tolerance vector. [None] when conditioning is impossible at this
     tolerance.
 
@@ -210,21 +210,23 @@ let rec flatten_or = function
     @raise Outside_fragment / [Constraints.Unsupported] when KB or
     query leave the unary fragment.
     @raise Solver.Infeasible when the KB is inconsistent at [tol]. *)
-let rec belief_at ?compiled ~kb ~query tol =
-  match flatten_or kb with
-  | [] | [ _ ] -> belief_at_conjunctive ?compiled ~kb ~query tol
+let rec belief_at compiled ~query tol =
+  match flatten_or (Compiled_kb.kb compiled) with
+  | [] | [ _ ] -> belief_at_conjunctive compiled ~query tol
   | disjuncts -> begin
-    (* Sub-KBs of a disjunction are not the compiled KB: from-scratch. *)
+    (* Each disjunct is a KB of its own, compiled like any other; its
+       artifact's memo serves both the entropy and the belief solve. *)
     let evaluated =
       List.filter_map
         (fun d ->
+          let c = Compiled_kb.compile d in
           match
             let parts =
               Analysis.analyze ~extra_preds:(Unary_engine.unary_preds_of query) d
             in
             if not (Analysis.fully_supported parts) then
               raise (Outside_fragment "disjunct outside the unary fragment")
-            else (Solver.solve parts tol, belief_at ~kb:d ~query tol)
+            else (Compiled_kb.solve c parts tol, belief_at c ~query tol)
           with
           | sol, Some b -> Some (sol.Solver.entropy, b)
           | _, None -> None
@@ -247,20 +249,20 @@ let rec belief_at ?compiled ~kb ~query tol =
     end
   end
 
-and belief_at_conjunctive ?compiled ~kb ~query tol =
-  let parts = Analysis.analyze ~extra_preds:(Unary_engine.unary_preds_of query) kb in
+and belief_at_conjunctive compiled ~query tol =
+  let parts =
+    Analysis.analyze
+      ~extra_preds:(Unary_engine.unary_preds_of query)
+      (Compiled_kb.kb compiled)
+  in
   if not (Analysis.fully_supported parts) then
     raise (Outside_fragment "KB outside the unary fragment")
   else begin
-    (* With a compiled artifact, the unconditioned maxent solve comes
-       from its memo table whenever the query's analysis matches the
-       compiled one (no new predicates); incompatible queries fall back
-       to a fresh solve inside [Compiled_kb.solve]. *)
-    let solve tol =
-      match compiled with
-      | Some c -> Compiled_kb.solve c parts tol
-      | None -> Solver.solve parts tol
-    in
+    (* The unconditioned maxent solve comes from the artifact's memo
+       whenever the query's analysis matches the compiled one (no new
+       predicates); an extended problem is solved directly inside
+       [Compiled_kb.solve]. *)
+    let solve = Compiled_kb.solve compiled parts in
     let u = parts.Analysis.universe in
     let const_part, stat_part = split_query query in
     let stat_prob =
@@ -300,16 +302,14 @@ and belief_at_conjunctive ?compiled ~kb ~query tol =
    exclusively when tracing is on; any failure is silently dropped —
    emission must never change the engine's verdict — except a budget
    expiry, which must reach the service to degrade the request. *)
-let emit_profile tr ?compiled ~kb ~query tol =
+let emit_profile tr compiled ~query tol =
   match
     let parts =
-      Analysis.analyze ~extra_preds:(Unary_engine.unary_preds_of query) kb
+      Analysis.analyze
+        ~extra_preds:(Unary_engine.unary_preds_of query)
+        (Compiled_kb.kb compiled)
     in
-    let sol =
-      match compiled with
-      | Some c -> Compiled_kb.solve c parts tol
-      | None -> Solver.solve parts tol
-    in
+    let sol = Compiled_kb.solve compiled parts tol in
     let u = parts.Analysis.universe in
     let n_constraints = List.length (Constraints.of_parts parts tol) in
     let atom_fields =
@@ -327,11 +327,10 @@ let emit_profile tr ?compiled ~kb ~query tol =
   | exception (Rw_pool.Budget.Expired as e) -> raise e
   | exception _ -> ()
 
-(** [estimate ?tols ?compiled ?trace ~kb query] — the [τ̄ → 0] limit
-    over a shrinking schedule with Aitken extrapolation. [compiled]
-    reuses the artifact's pre-solved maxent points; answers are
-    identical with or without it. *)
-let rec estimate ?(tols = default_tols) ?compiled ?trace ~kb query =
+(** [estimate ?tols ?trace compiled query] — the [τ̄ → 0] limit over
+    a shrinking schedule with Aitken extrapolation, reading the
+    artifact's memoised maxent points. *)
+let rec estimate ?(tols = default_tols) ?trace compiled query =
   Trace.span trace "maxent" @@ fun () ->
   let declined why =
     (match trace with
@@ -339,18 +338,18 @@ let rec estimate ?(tols = default_tols) ?compiled ?trace ~kb query =
     | Some tr -> Trace.fact tr "note" [ ("declined", Trace.S why) ]);
     Answer.make ~engine:"maxent" (Answer.Not_applicable why)
   in
-  try estimate_exn ~tols ~compiled ~trace ~kb query with
+  try estimate_exn ~tols ~trace compiled query with
   | Outside_fragment why -> declined why
   | Constraints.Unsupported (why, _) -> declined why
   | Atoms.Not_boolean _ -> declined "non-boolean subformula"
   | Profile.Unsupported why -> declined why
   | Invalid_argument why -> declined why
 
-and estimate_exn ~tols ~compiled ~trace ~kb query =
+and estimate_exn ~tols ~trace compiled query =
   let values =
     List.filter_map
       (fun tol ->
-        match belief_at ?compiled ~kb ~query tol with
+        match belief_at compiled ~query tol with
         | Some v -> Some (tol, v)
         | None -> None
         | exception Solver.Infeasible _ -> None)
@@ -358,7 +357,7 @@ and estimate_exn ~tols ~compiled ~trace ~kb query =
   in
   (match (trace, values) with
   | Some tr, (tol0, _) :: _ ->
-    emit_profile tr ?compiled ~kb ~query tol0;
+    emit_profile tr compiled ~query tol0;
     List.iter
       (fun (tol, v) ->
         Trace.fact tr "tolerance"
@@ -368,7 +367,7 @@ and estimate_exn ~tols ~compiled ~trace ~kb query =
   match values with
   | [] -> (
     (* Distinguish "inconsistent" from "outside fragment". *)
-    match belief_at ?compiled ~kb ~query (List.hd tols) with
+    match belief_at compiled ~query (List.hd tols) with
     | exception Outside_fragment why ->
       Answer.make ~engine:"maxent" (Answer.Not_applicable why)
     | exception Constraints.Unsupported (why, _) ->

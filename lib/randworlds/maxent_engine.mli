@@ -19,14 +19,13 @@ open Rw_logic
 
 val default_tols : Tolerance.t list
 (** Alias of {!Rw_compile.Compiled_kb.default_schedule}: the engine
-    walks exactly the schedule a compiled artifact pre-solves. *)
+    walks exactly the schedule [rw compile] profiles. *)
 
 exception Outside_fragment of string
 (** KB or query outside the unary fragment; caught by {!estimate}. *)
 
 val belief_at :
-  ?compiled:Rw_compile.Compiled_kb.t ->
-  kb:Syntax.formula ->
+  Rw_compile.Compiled_kb.t ->
   query:Syntax.formula ->
   Tolerance.t ->
   float option
@@ -38,9 +37,8 @@ val belief_at :
 
 val estimate :
   ?tols:Tolerance.t list ->
-  ?compiled:Rw_compile.Compiled_kb.t ->
   ?trace:Rw_trace.Trace.t ->
-  kb:Syntax.formula ->
+  Rw_compile.Compiled_kb.t ->
   Syntax.formula ->
   Answer.t
 (** The [τ̄ → 0] limit over the schedule. Never raises: fragment
@@ -50,6 +48,5 @@ val estimate :
     per-index powers) to probe default priorities — Section 5.3's
     non-robustness ablation. [?trace] records the entropy-maximum
     profile (entropy, binding-constraint count, per-atom masses), the
-    per-tolerance beliefs, and the extrapolation verdict. [?compiled]
-    reuses a matching artifact's pre-solved maxent points; answers are
-    identical with or without it. *)
+    per-tolerance beliefs, and the extrapolation verdict. Maxent
+    points come from the artifact's memo, filled on first use. *)

@@ -36,7 +36,7 @@ let config ~samples ~ci_width =
 let note_of ~tol ~outcome =
   Fmt.str "mc %a: %a" Tolerance.pp tol Rw_mc.Estimator.pp_outcome outcome
 
-(** [estimate ?seed ?samples ?ci_width ?ns ?tols ~vocab ~kb query]
+(** [estimate ?seed ?samples ?ci_width ?ns ?tols compiled query]
     estimates the double limit from an [(N, τ̄)] grid, like the enum
     engine but by sampling. For each tolerance in the shrinking
     schedule, sample at the largest domain size whose rejection rate
@@ -47,7 +47,7 @@ let note_of ~tol ~outcome =
     tolerance that produced an estimate; the evidence for every grid
     point attempted, including starved ones, is in the notes. *)
 let estimate ?(seed = default_seed) ?samples ?ci_width ?(jobs = 1)
-    ?(ns = [ 8; 16; 32 ]) ?tols ?compiled ?trace ~vocab ~kb query =
+    ?(ns = [ 8; 16; 32 ]) ?tols ?trace compiled query =
   Rw_trace.Trace.span trace "mc" @@ fun () ->
   let tols =
     match tols with
@@ -56,15 +56,15 @@ let estimate ?(seed = default_seed) ?samples ?ci_width ?(jobs = 1)
   in
   let ns_desc = List.sort_uniq (fun a b -> Stdlib.compare b a) ns in
   let cfg = config ~samples ~ci_width in
-  (* A compiled artifact supplies the memoised maxent solve behind the
-     stratified rescue's importance tilt (the tilt is a function of the
-     KB and tolerance only). The proposal is identical, so the sample
-     stream — and the answer — do not change. *)
-  let tilt_solve =
-    Option.map
-      (fun c parts tol -> Rw_compile.Compiled_kb.solve c parts tol)
-      compiled
+  let kb = Rw_compile.Compiled_kb.kb compiled in
+  let vocab =
+    Vocab.merge (Rw_compile.Compiled_kb.vocab compiled) (Vocab.of_formula query)
   in
+  (* The artifact supplies the memoised maxent solve behind the
+     stratified rescue's importance tilt (the tilt is a function of the
+     KB and tolerance only). The proposal is that of a direct solve, so
+     the sample stream — and the answer — do not change. *)
+  let tilt_solve = Rw_compile.Compiled_kb.solve compiled in
   (* Split one master generator per grid point so points are
      independent but jointly reproducible from the one seed. *)
   let master = Rw_mc.Prng.create seed in
@@ -76,7 +76,7 @@ let estimate ?(seed = default_seed) ?samples ?ci_width ?(jobs = 1)
           | n :: rest ->
             let seed = Int64.to_int (Rw_mc.Prng.bits64 master) land 0x3FFFFFFF in
             let o =
-              pr_n ~config:cfg ?pool ?tilt_solve ~seed ~vocab ~n ~tol ~kb query
+              pr_n ~config:cfg ?pool ~tilt_solve ~seed ~vocab ~n ~tol ~kb query
             in
             let attempt = (tol, o) in
             (match o with

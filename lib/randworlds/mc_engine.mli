@@ -35,10 +35,8 @@ val estimate :
   ?jobs:int ->
   ?ns:int list ->
   ?tols:Tolerance.t list ->
-  ?compiled:Rw_compile.Compiled_kb.t ->
   ?trace:Rw_trace.Trace.t ->
-  vocab:Vocab.t ->
-  kb:Syntax.formula ->
+  Rw_compile.Compiled_kb.t ->
   Syntax.formula ->
   Answer.t
 (** Estimate the double limit from an [(N, τ̄)] grid by sampling at the
@@ -53,6 +51,7 @@ val estimate :
     sequentially rather than nesting fan-outs. [?trace] records one
     "mc-point" fact per grid attempt (sample counts, KB hits, per-point
     seed, CI — but no wall-clock, so traces too are jobs-invariant and
-    seed-deterministic) and the final interval verdict. [?compiled]
-    feeds the artifact's memoised maxent solve to the stratified
-    rescue's importance tilt; the sample stream is identical. *)
+    seed-deterministic) and the final interval verdict. The world
+    vocabulary is the artifact's merged with the query's, and the
+    artifact's memoised maxent solve feeds the stratified rescue's
+    importance tilt; the sample stream is that of a direct solve. *)

@@ -81,7 +81,6 @@ type stat = Cstat.t = {
   tol_index : int;
 }
 
-let stat_of_conjunct = Cstat.of_conjunct
 let complement_stat = Cstat.complement
 let with_complements = Cstat.with_complements
 let merge_stats = Cstat.merge
@@ -96,11 +95,8 @@ let merge_stats = Cstat.merge
    (e.g. answering 0 from ||P(x)|P(x)|| ≈ 0 ∧ P(D), a KB with no
    worlds once τ < 1). Two cheap sound checks run first; either one
    firing makes the whole inference [Inconsistent]. Both are
-   query-independent, so they live in {!Rw_compile.Compiled_kb} and a
-   compiled artifact carries their results as booleans. *)
-
-let ground_contradiction = Rw_compile.Compiled_kb.ground_contradiction
-let degenerate_self_conditional = Rw_compile.Compiled_kb.degenerate_self_conditional
+   query-independent, so they live in {!Rw_compile.Compiled_kb} and
+   the artifact carries their results as booleans. *)
 
 (* ------------------------------------------------------------------ *)
 (* Rule A: Theorem 5.6                                                *)
@@ -536,27 +532,16 @@ let rule_d ~trace ~kb_conjuncts ctx =
 (* Entry point                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** [infer ?compiled ?trace ~kb query] applies every rule whose
-    hypotheses hold and intersects the sound conclusions. [compiled]
-    (an artifact for this exact KB) supplies the pre-split conjuncts,
-    the statistical index, and the pre-evaluated inconsistency checks;
-    inference is identical with or without it. *)
-let infer ?compiled ?trace ~kb query =
+(** [infer ?trace compiled query] applies every rule whose hypotheses
+    hold and intersects the sound conclusions. The artifact supplies
+    the pre-split conjuncts, the statistical index, and the
+    pre-evaluated inconsistency checks. *)
+let infer ?trace compiled query =
   Trace.span trace "rules" @@ fun () ->
   let module C = Rw_compile.Compiled_kb in
-  let indexed, ground_bad, degenerate_bad =
-    match compiled with
-    | Some c when C.matches c kb ->
-      (C.stat_index c, C.ground_inconsistent c, C.degenerate_inconsistent c)
-    | _ ->
-      let conjuncts = Rw_unary.Analysis.split_conjuncts kb in
-      let indexed = List.map (fun f -> (f, stat_of_conjunct f)) conjuncts in
-      ( indexed,
-        ground_contradiction conjuncts,
-        degenerate_self_conditional indexed )
-  in
+  let indexed = C.stat_index compiled in
   let kb_conjuncts = List.map fst indexed in
-  if ground_bad then begin
+  if C.ground_inconsistent compiled then begin
     (match trace with
     | None -> ()
     | Some tr ->
@@ -566,7 +551,7 @@ let infer ?compiled ?trace ~kb query =
       ~notes:[ "ground facts contain a complementary literal pair" ]
       ~engine:"rules" Answer.Inconsistent
   end
-  else if degenerate_bad then begin
+  else if C.degenerate_inconsistent compiled then begin
     (match trace with
     | None -> ()
     | Some tr ->

@@ -22,16 +22,13 @@
 open Rw_logic
 
 val infer :
-  ?compiled:Rw_compile.Compiled_kb.t ->
   ?trace:Rw_trace.Trace.t ->
-  kb:Syntax.formula ->
+  Rw_compile.Compiled_kb.t ->
   Syntax.formula ->
   Answer.t
-(** Apply every rule whose hypotheses hold; [Not_applicable] when none
-    match. [?trace] records which theorems fired with their
+(** Apply every rule whose hypotheses hold to the compiled KB;
+    [Not_applicable] when none match. The artifact supplies the
+    pre-split conjuncts, the statistical index and the inconsistency
+    pre-checks. [?trace] records which theorems fired with their
     instantiated preconditions, the reference classes considered, and
-    the specificity winner (see {!Rw_trace.Trace}). [?compiled] — an
-    artifact compiled from this exact KB — supplies the pre-split
-    conjuncts, statistical index and inconsistency pre-checks;
-    inference is identical with or without it (a mismatched artifact is
-    ignored). *)
+    the specificity winner (see {!Rw_trace.Trace}). *)

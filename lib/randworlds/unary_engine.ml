@@ -52,14 +52,14 @@ let series ~kb ~query ~ns ~tol =
       | None -> None)
     ns
 
-(** [estimate ?ns ?tols ?compiled ~kb query] — the double limit over a
-    grid, with Aitken extrapolation of the inner [N→∞] limit at each
-    tolerance. [compiled] substitutes the artifact's precomputed
-    stat-satisfying profile tables for the full composition sweep at
-    each (N, τ̄); results are bit-identical with or without it.
+(** [estimate ?ns ?tols ?trace compiled query] — the double limit over
+    a grid, with Aitken extrapolation of the inner [N→∞] limit at each
+    tolerance. The artifact's memoised stat-satisfying profile tables
+    stand in for the full composition sweep at each (N, τ̄); results
+    are bit-identical to the sweep.
 
     @raise Profile.Unsupported outside the unary fragment. *)
-let estimate ?(ns = default_sizes) ?tols ?compiled ?trace ~kb query =
+let estimate ?(ns = default_sizes) ?tols ?trace compiled query =
   Trace.span trace "unary" @@ fun () ->
   let emit tag fields =
     match trace with None -> () | Some tr -> Trace.fact tr tag fields
@@ -68,6 +68,7 @@ let estimate ?(ns = default_sizes) ?tols ?compiled ?trace ~kb query =
     emit "note" [ ("declined", Trace.S why) ];
     Answer.make ~engine:"unary" (Answer.Not_applicable why)
   in
+  let kb = Rw_compile.Compiled_kb.kb compiled in
   let parts = Analysis.analyze ~extra_preds:(unary_preds_of query) kb in
   if not (Analysis.fully_supported parts) then
     declined "KB outside the unary fragment"
@@ -140,9 +141,7 @@ let estimate ?(ns = default_sizes) ?tols ?compiled ?trace ~kb query =
       in
       let pr ~n ~tol =
         let table =
-          match compiled with
-          | Some c -> Rw_compile.Compiled_kb.profile_table c parts ~n ~tol
-          | None -> None
+          Rw_compile.Compiled_kb.profile_table compiled parts ~n ~tol
         in
         Profile.pr_n ?table parts ~query ~n ~tol
       in

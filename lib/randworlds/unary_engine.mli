@@ -31,9 +31,8 @@ val series :
 val estimate :
   ?ns:int list ->
   ?tols:Tolerance.t list ->
-  ?compiled:Rw_compile.Compiled_kb.t ->
   ?trace:Rw_trace.Trace.t ->
-  kb:Syntax.formula ->
+  Rw_compile.Compiled_kb.t ->
   Syntax.formula ->
   Answer.t
 (** The double limit over a grid, with Aitken extrapolation of the
@@ -42,6 +41,6 @@ val estimate :
     for exact counting. [?trace] records the kept size grid and
     tolerance floor, dropped tolerance steps, the per-tolerance inner
     limit with the method that produced it (richardson / bracket /
-    noise-hull / …), and the final limit verdict. [?compiled] swaps the
-    per-(N, τ̄) composition sweep for the artifact's precomputed
-    stat-satisfying profile tables; results are bit-identical. *)
+    noise-hull / …), and the final limit verdict. The artifact's
+    memoised stat-satisfying profile tables stand in for the
+    per-(N, τ̄) composition sweep; results are bit-identical. *)

@@ -200,10 +200,8 @@ let json_of_stats_fields (s : Service.stats) =
             ("p95", Json.Float s.Service.latency.Service.p95_ms);
             ("max", Json.Float s.Service.latency.Service.max_ms);
           ] );
+      ("compiled", json_of_compiled_stats s.Service.compiled);
     ]
-    @ (match s.Service.compiled with
-      | None -> []
-      | Some c -> [ ("compiled", json_of_compiled_stats c) ])
     @ (match s.Service.store with
       | None -> []
       | Some st -> [ ("store", json_of_store_stats st) ])

@@ -373,6 +373,28 @@ let emit_fd fd reply =
   | () -> ()
   | exception Unix.Unix_error _ -> ()
 
+(* NDJSON framing over raw reads: only the [n] new bytes are scanned
+   for newlines, and [pending] holds just the unterminated tail, so a
+   long line costs time linear in its length however many reads it
+   spans. *)
+let frame pending chunk n on_line =
+  let rec go start i =
+    if i >= n then begin
+      Buffer.add_subbytes pending chunk start (n - start);
+      `Continue
+    end
+    else if Bytes.get chunk i <> '\n' then go start (i + 1)
+    else begin
+      Buffer.add_subbytes pending chunk start (i - start);
+      let line = Buffer.contents pending in
+      Buffer.clear pending;
+      match on_line line with
+      | `Continue -> go (i + 1) (i + 1)
+      | `Close -> `Close
+    end
+  in
+  go 0 0
+
 (* The per-connection loop: select-with-timeout framing so the thread
    can notice [closing] and the idle deadline between reads. One
    request is processed at a time per connection; [closing] is only
@@ -381,7 +403,10 @@ let emit_fd fd reply =
 let conn_loop st fd =
   let chunk = Bytes.create 8192 in
   let pending = Buffer.create 256 in
-  let last_activity = ref (Unix.gettimeofday ()) in
+  (* Monotonic, so a wall-clock step can neither fire nor postpone an
+     idle timeout. *)
+  let now = Rw_pool.Budget.now in
+  let last_activity = ref (now ()) in
   let process_line line =
     if String.trim line = "" then `Continue
     else begin
@@ -396,23 +421,9 @@ let conn_loop st fd =
         `Close
     end
   in
-  (* Split complete lines off the front of [pending], keeping the
-     unterminated tail for the next read. *)
-  let rec drain_lines () =
-    let s = Buffer.contents pending in
-    match String.index_opt s '\n' with
-    | None -> `Continue
-    | Some i ->
-      let line = String.sub s 0 i in
-      Buffer.clear pending;
-      Buffer.add_substring pending s (i + 1) (String.length s - i - 1);
-      (match process_line line with
-      | `Continue -> drain_lines ()
-      | `Close -> `Close)
-  in
   let idle_expired () =
     match st.idle_timeout with
-    | Some t -> Unix.gettimeofday () -. !last_activity > t
+    | Some t -> now () -. !last_activity > t
     | None -> false
   in
   let rec loop () =
@@ -430,7 +441,7 @@ let conn_loop st fd =
           try Unix.read fd chunk 0 (Bytes.length chunk)
           with Unix.Unix_error _ -> 0
         in
-        last_activity := Unix.gettimeofday ();
+        last_activity := now ();
         if n = 0 then begin
           (* EOF. A non-empty remainder is a truncated NDJSON line —
              the client hung up (or shut down its write side) without
@@ -447,8 +458,7 @@ let conn_loop st fd =
           end
         end
         else begin
-          Buffer.add_subbytes pending chunk 0 n;
-          match drain_lines () with
+          match frame pending chunk n process_line with
           | `Continue -> loop ()
           | `Close -> ()
         end)

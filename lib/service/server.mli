@@ -17,6 +17,20 @@ val handle_line :
     serve-level default pool width for [batch] requests that do not
     carry their own ["jobs"] field. Exposed for tests. *)
 
+val frame :
+  Buffer.t ->
+  bytes ->
+  int ->
+  (string -> [ `Continue | `Close ]) ->
+  [ `Continue | `Close ]
+(** [frame pending chunk n on_line] — the listener's NDJSON framing.
+    Appends the first [n] bytes of [chunk] to the unterminated line
+    held in [pending], calling [on_line] on every line a newline
+    completes (newline stripped) until one returns [`Close]; the tail
+    after the last newline stays in [pending]. Only the new bytes are
+    scanned, so framing is linear in the bytes read, however many
+    reads a line spans. Exposed for tests. *)
+
 val run : ?ic:in_channel -> ?oc:out_channel -> ?jobs:int -> Service.t -> int
 (** Read requests from [ic] (default stdin) until [shutdown] or EOF,
     writing one reply line per request to [oc] (default stdout,

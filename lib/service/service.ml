@@ -120,7 +120,7 @@ type entry = {
    cache bookkeeping it caused. [action] is ["assert"], ["retract"] or
    ["load"]; [artifact] says what happened to the compiled artifact —
    ["carried"] (memo tables survived the delta), ["recompiled"],
-   ["absent"] (compiled tier off), or ["unchanged"] (canonical
+   ["dropped"] (a load swapped the KB) or ["unchanged"] (canonical
    no-op). *)
 type session_event = {
   seq : int;
@@ -317,9 +317,7 @@ let load_kb t kb =
       revalidated = 0;
       evicted = reclaimed;
       artifact =
-        (if t.config.compiled_capacity <= 0 then "absent"
-         else if before <> "" && before <> digest then "dropped"
-         else "unchanged");
+        (if before <> "" && before <> digest then "dropped" else "unchanged");
       elapsed_ms = (Instr.now () -. t0) *. 1000.0;
     }
 
@@ -381,8 +379,8 @@ let store_put t key (e : entry) =
         (Codec.encode_payload ~answer:e.answer ~trace:e.trace)
     with Rw_prelude.Hook.Injected _ -> ())
 
-let degraded_answer ~kb ~budget q =
-  let a = Rules_engine.infer ~kb q in
+let degraded_answer compiled ~budget q =
+  let a = Rules_engine.infer compiled q in
   Answer.add_notes a
     [
       Printf.sprintf
@@ -398,38 +396,37 @@ let degraded_answer ~kb ~budget q =
    and find the winner's artifact). Digests identify KBs only up to
    canonical renaming, so a cache hit is verified structurally
    ({!Rw_compile.Compiled_kb.matches}) before reuse — a mismatch
-   recompiles for the actual KB and replaces the entry. *)
+   recompiles for the actual KB and replaces the entry. With
+   [compiled_capacity = 0] nothing stays resident and every call
+   compiles. The compile is the syntactic pass only, so it runs
+   outside any request budget. [compile.kb] is the fault point of a
+   failed compile: [Hook.Injected] reaches the caller. *)
 let compiled_for t kb =
-  if t.config.compiled_capacity <= 0 then None
-  else begin
-    try
-    let digest = t.kb_digest in
-    let module C = Rw_compile.Compiled_kb in
-    let fresh () =
-      let c =
-        match t.config.engine_options.Engine.tols with
-        | Some schedule -> C.compile ~schedule kb
-        | None -> C.compile kb
-      in
-      Lru.Sync.add t.compiled digest c;
-      Atomic.incr t.compiles;
-      t.compile_ms_total <- t.compile_ms_total +. C.compile_ms c;
-      c
-    in
-    match Lru.Sync.find t.compiled digest with
-    | Some c when C.matches c kb -> Some c
-    | Some _ | None ->
-      Some
-        (Mutex.protect t.compile_m (fun () ->
-             match Lru.Sync.find t.compiled digest with
-             | Some c when C.matches c kb -> c
-             | Some _ | None -> fresh ()))
-    with Rw_prelude.Hook.Injected _ ->
-      (* An injected compile failure degrades the tier, not the query:
-         the dispatch proceeds uncompiled, which by the compiled-KB
-         contract returns the bit-identical answer. *)
-      None
-  end
+  let digest = t.kb_digest in
+  let module C = Rw_compile.Compiled_kb in
+  let fresh () =
+    Rw_prelude.Hook.fire "compile.kb";
+    let c = C.compile kb in
+    Lru.Sync.add t.compiled digest c;
+    Atomic.incr t.compiles;
+    t.compile_ms_total <- t.compile_ms_total +. C.compile_ms c;
+    c
+  in
+  match Lru.Sync.find t.compiled digest with
+  | Some c when C.matches c kb -> c
+  | Some _ | None ->
+    Mutex.protect t.compile_m (fun () ->
+        match Lru.Sync.find t.compiled digest with
+        | Some c when C.matches c kb -> c
+        | Some _ | None -> fresh ())
+
+let artifact t =
+  match t.kb with
+  | None -> None
+  | Some kb -> (
+    match Lru.Sync.find t.compiled t.kb_digest with
+    | Some c when Rw_compile.Compiled_kb.matches c kb -> Some c
+    | _ -> None)
 
 (* Drop every memory-tier entry. Correctness-neutral by construction:
    the LRU and the artifact cache are pure memoisation, so the next
@@ -567,37 +564,22 @@ let update ?src t action f =
       | [] ->
         let after = Canonical.digest kb_new in
         let module C = Rw_compile.Compiled_kb in
-        (* Artifact first: delta-aware recompile, carrying the maxent
-           schedule and memo tables across deltas that leave the
+        (* Artifact first: delta-aware recompile, carrying the solved
+           maxent cells and memo tables across deltas that leave the
            optimisation problem untouched (evidence-only updates). *)
-        let artifact, art_status =
-          if t.config.compiled_capacity <= 0 then (None, "absent")
-          else begin
-            let old_art =
-              match (Lru.Sync.find t.compiled before, t.kb) with
-              | Some c, Some kb_old when C.matches c kb_old -> Some c
-              | _ -> None
-            in
-            let art, carried =
-              match old_art with
-              | Some old -> C.update old kb_new
-              | None -> (
-                ( (match t.config.engine_options.Engine.tols with
-                  | Some schedule -> C.compile ~schedule kb_new
-                  | None -> C.compile kb_new),
-                  false ))
-            in
-            ignore (Lru.Sync.remove_if t.compiled (fun k _ -> k = before));
-            Lru.Sync.add t.compiled after art;
-            if carried then t.artifact_carries <- t.artifact_carries + 1
-            else begin
-              Atomic.incr t.compiles;
-              Mutex.protect t.compile_m (fun () ->
-                  t.compile_ms_total <- t.compile_ms_total +. C.compile_ms art)
-            end;
-            (Some art, if carried then "carried" else "recompiled")
-          end
+        let artifact, carried =
+          match (Lru.Sync.find t.compiled before, t.kb) with
+          | Some c, Some kb_old when C.matches c kb_old -> C.update c kb_new
+          | _ -> (C.compile kb_new, false)
         in
+        ignore (Lru.Sync.remove_if t.compiled (fun k _ -> k = before));
+        Lru.Sync.add t.compiled after artifact;
+        if carried then t.artifact_carries <- t.artifact_carries + 1
+        else begin
+          Atomic.incr t.compiles;
+          Mutex.protect t.compile_m (fun () ->
+              t.compile_ms_total <- t.compile_ms_total +. C.compile_ms artifact)
+        end;
         (* The invalidation walk over the old digest's entries. *)
         let dvocab = Vocab.of_formulas delta in
         let prefix = before ^ "|" in
@@ -607,7 +589,7 @@ let update ?src t action f =
           if not (Vocab.disjoint dvocab e.qvocab) then None
           else if not (rules_definitive e.answer) then None
           else begin
-            let a = Rules_engine.infer ?compiled:artifact ~kb:kb_new e.query in
+            let a = Rules_engine.infer artifact e.query in
             if a = e.answer then begin
               let key' =
                 after ^ "|" ^ String.sub key plen (String.length key - plen)
@@ -631,7 +613,7 @@ let update ?src t action f =
         t.kb_digest <- after;
         t.conjuncts <- conjuncts';
         record ~digest:after ~changed:true ~revalidated ~evicted
-          ~artifact:art_status
+          ~artifact:(if carried then "carried" else "recompiled")
     end)
 
 let update_src t action src =
@@ -643,19 +625,16 @@ let update_src t action src =
 
 let session_log t = Mutex.protect t.session_m (fun () -> List.rev t.session_log_rev)
 
-(* One budgeted engine run; [None] when the budget expired (or was
-   non-positive). The budget is a {!Rw_pool.Budget} deadline polled
-   from the engines' inner loops (maxent solver iterations, profile
-   counting, world enumeration, sampling) on whichever domain runs
-   them — [Pool.map] and [Pool.async] carry it into their tasks. The
-   compiled artifact is fetched {e inside} the budget: the first
-   request against a KB pays the compile against its own budget
-   (degrading soundly if it expires mid-compile), later requests hit
-   the artifact cache. *)
-let run_engine ?trace ?budget t ~kb q =
+(* One budgeted engine run on the request's artifact; [None] when the
+   budget expired (or was non-positive). The budget is a
+   {!Rw_pool.Budget} deadline polled from the engines' inner loops
+   (maxent solver iterations, profile counting, world enumeration,
+   sampling) on whichever domain runs them — [Pool.map] and
+   [Pool.async] carry it into their tasks. A solve cut short leaves
+   its memo cell empty; cells that finished stay filled. *)
+let run_engine ?trace ?budget t compiled ~kb q =
   let run () =
-    let compiled = compiled_for t kb in
-    Engine.degree_of_belief ~options:t.config.engine_options ?compiled ?trace
+    Engine.degree_of_belief ~options:t.config.engine_options ~compiled ?trace
       ~kb q
   in
   match budget with
@@ -686,8 +665,10 @@ let cache_fact outcome key =
    upgraded in both tiers. The answer served stays the stored one when
    that retrace runs out of budget: an expiry must not degrade an
    answer we already have. A budget expiry on a miss serves the rules
-   engine's sound interval, which depends on the clock and so is
-   neither cached nor persisted. *)
+   engine's sound interval on the request's artifact, which depends on
+   the clock and so is neither cached nor persisted. A failed compile
+   leaves no artifact to degrade to: the request fails with an error
+   and nothing is cached or persisted. *)
 let ladder ?budget ?trace t q =
   match t.kb with
   | None -> Error "no knowledge base loaded"
@@ -700,13 +681,15 @@ let ladder ?budget ?trace t q =
     let key = cache_key t q in
     (* [provenance] is that of the entry a retrace upgrades: it is
        replayed behind the cache fact, as on any hit, and carried into
-       the new entry, but kept out of the entry's stored trace. *)
+       the new entry, but kept out of the entry's stored trace. An
+       expiry is [Error] with the artifact the degraded answer reads. *)
     let dispatch ?(provenance = []) outcome =
       Option.iter
         (fun tr -> List.iter (Trace.add tr) (cache_fact outcome key :: provenance))
         trace;
-      match run_engine ?trace ?budget t ~kb q with
-      | None -> None
+      let compiled = compiled_for t kb in
+      match run_engine ?trace ?budget t compiled ~kb q with
+      | None -> Error compiled
       | Some a ->
         let evs =
           Option.map
@@ -719,7 +702,7 @@ let ladder ?budget ?trace t q =
         let e = { (mk_entry q a evs) with provenance } in
         Lru.Sync.add t.cache key e;
         store_put t key e;
-        Some a
+        Ok a
     in
     let serve ~outcome (e : entry) =
       match (trace, e.trace) with
@@ -729,12 +712,12 @@ let ladder ?budget ?trace t q =
         e.answer
       | Some tr, None -> (
         match dispatch ~provenance:e.provenance (outcome ^ "-retraced") with
-        | Some a -> a
-        | None ->
+        | Ok a -> a
+        | Error _ ->
           Trace.note tr "retrace ran out of budget; cached answer returned";
           e.answer)
     in
-    let result =
+    let result () =
       match Lru.Sync.find t.cache key with
       | Some e -> (serve ~outcome:"hit" e, Cached)
       | None -> (
@@ -744,19 +727,27 @@ let ladder ?budget ?trace t q =
           (serve ~outcome:"hit-store" e, Stored)
         | None -> (
           match dispatch "miss" with
-          | Some a -> (a, Computed)
-          | None ->
+          | Ok a -> (a, Computed)
+          | Error compiled ->
             Atomic.incr t.timeouts;
             Option.iter
               (fun tr ->
                 Trace.note tr
                   "budget exhausted: degraded to the rules-engine sound answer")
               trace;
-            ( degraded_answer ~kb ~budget:(Option.value budget ~default:0.0) q,
+            ( degraded_answer compiled
+                ~budget:(Option.value budget ~default:0.0)
+                q,
               Degraded )))
     in
+    let result =
+      match result () with
+      | r -> Ok r
+      | exception Rw_prelude.Hook.Injected point ->
+        Error (Printf.sprintf "KB compilation failed (%s)" point)
+    in
     latency_record t.latency ((Instr.now () -. t0) *. 1000.0);
-    Ok result
+    result
 
 let query ?budget t q = ladder ?budget t q
 
@@ -830,7 +821,7 @@ type session_stats = {
 
 type stats = {
   cache : Lru.stats;
-  compiled : compiled_stats option;
+  compiled : compiled_stats;
   engines : Instr.entry list;
   queries : int;
   timeouts : int;
@@ -857,15 +848,12 @@ let stats (t : t) =
   {
     cache = Lru.Sync.stats t.cache;
     compiled =
-      (if t.config.compiled_capacity <= 0 then None
-       else
-         Some
-           {
-             compiled_cache = Lru.Sync.stats t.compiled;
-             compiles = Atomic.get t.compiles;
-             compile_ms_total =
-               Mutex.protect t.compile_m (fun () -> t.compile_ms_total);
-           });
+      {
+        compiled_cache = Lru.Sync.stats t.compiled;
+        compiles = Atomic.get t.compiles;
+        compile_ms_total =
+          Mutex.protect t.compile_m (fun () -> t.compile_ms_total);
+      };
     engines = Instr.snapshot ();
     queries = Atomic.get t.queries;
     timeouts = Atomic.get t.timeouts;

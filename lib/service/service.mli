@@ -54,14 +54,18 @@
     bounded LRU of {!Rw_compile.Compiled_kb.t} artifacts keyed by
     canonical KB digest. Answer caches make {e repeated questions}
     free; the compiled tier makes {e distinct questions against the
-    same KB} cheap, by reusing the one-time artifact (vocabulary,
-    statistical index, memoised maxent solves, profile tables) across
-    every query that misses the answer tiers. The first query against
-    a KB compiles under its own request budget; under a parallel
-    batch a mutex makes compilation happen exactly once per KB.
-    Answers are bit-identical with the tier on or off
-    ({!Rw_compile.Compiled_kb}'s contract); [compiled_capacity = 0]
-    switches it off.
+    same KB} cheap, by keeping the KB's one artifact (vocabulary,
+    statistical index, memoised maxent solves, profile tables)
+    resident across every query that misses the answer tiers. The
+    first query against a KB compiles it — the syntactic pass only,
+    outside the request budget, so an artifact warms however short
+    the budget; under a parallel batch a mutex makes compilation
+    happen exactly once per KB. A solve that runs out of budget leaves
+    the artifact resident and its finished cells filled. An injected
+    compile failure (fault point [compile.kb]) fails that query with
+    an error and caches nothing. [compiled_capacity = 0] keeps no
+    artifact resident: every dispatch compiles afresh, with identical
+    answers.
 
     {b Belief-change sessions.} A loaded KB is a live object:
     {!update} asserts or retracts statements (at conjunct granularity,
@@ -79,7 +83,7 @@
     bit-identical to what a cold re-dispatch on the updated KB would
     compute. The compiled artifact is updated delta-aware too
     ({!Rw_compile.Compiled_kb.update}): evidence-only deltas carry the
-    pre-solved maxent schedule and memo tables over instead of
+    solved maxent cells and memo tables over instead of
     re-solving. Every mutation (including full {!load_kb} swaps)
     appends to a {!session_log}; {!stats} aggregates the session
     counters. Like {!load_kb}, updates concurrent with in-flight
@@ -93,8 +97,7 @@ type config = {
   cache_capacity : int;  (** LRU entries; [0] disables caching *)
   compiled_capacity : int;
       (** compiled-KB artifacts kept resident (one per KB digest);
-          [0] disables the compiled tier entirely — every query
-          recomputes from scratch, as before the tier existed *)
+          [0] keeps none — every dispatch compiles afresh *)
   parallel_threshold : int;
       (** batches shorter than this run sequentially even when the
           caller asks for [jobs > 1]: pool spin-up and GC contention
@@ -147,6 +150,11 @@ val load_kb_file : t -> string -> (unit, string) result
 
 val kb : t -> Syntax.formula option
 
+val artifact : t -> Rw_compile.Compiled_kb.t option
+(** The loaded KB's resident compiled artifact, if one is resident —
+    for inspecting which solve cells it holds. Counted as a probe of
+    the compiled tier. *)
+
 val evict_all : t -> int * int
 (** Flush both memory tiers: every answer-cache entry and every
     compiled-KB artifact, regardless of digest. Returns
@@ -169,8 +177,8 @@ type update_outcome = {
   evicted : int;  (** cache entries invalidated by the delta *)
   artifact : string;
       (** what happened to the compiled artifact: ["carried"] (memo
-          tables survived an evidence-only delta), ["recompiled"],
-          ["absent"] (tier off) or ["unchanged"] (no-op) *)
+          tables survived an evidence-only delta), ["recompiled"] or
+          ["unchanged"] (no-op) *)
   elapsed_ms : float;
 }
 
@@ -311,9 +319,7 @@ type session_stats = {
 
 type stats = {
   cache : Lru.stats;
-  compiled : compiled_stats option;
-      (** the compiled-KB tier's counters; [None] when
-          [compiled_capacity = 0] *)
+  compiled : compiled_stats;  (** the compiled-KB tier's counters *)
   engines : Instr.entry list;
       (** per-engine dispatch counts and wall-clock (process-global,
           merged across domains — see {!Instr}) *)

@@ -5,7 +5,7 @@ let catalog =
     ("store.append", "store append fails before writing any byte");
     ("store.append.torn", "store append writes a partial record, then fails");
     ("store.sync", "store fsync fails");
-    ("compile.kb", "KB compilation fails; the query dispatches uncompiled");
+    ("compile.kb", "KB compilation fails; the query fails with an error reply");
     ("pool.submit", "parallel batch fan-out fails before any item runs");
   ]
 

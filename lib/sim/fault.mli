@@ -18,9 +18,11 @@
       the next open truncates the torn tail.
     - [{"store.sync"}] — {!Rw_store.Store.sync}'s fsync fails (the
       [persist] op's failure mode).
-    - [{"compile.kb"}] — {!Rw_compile.Compiled_kb.compile} fails; the
-      service degrades the compiled tier for that query (dispatches
-      uncompiled) rather than failing the query.
+    - [{"compile.kb"}] — the service's KB compilation fails. Without
+      an artifact there is no engine input, not even the rules
+      interval a budget expiry degrades to, so that query fails with
+      an error reply; nothing is cached or persisted, and the next
+      query against the KB compiles afresh.
     - [{"pool.submit"}] — the parallel batch fan-out fails before any
       item runs; the batch call raises and answers nothing.
 

@@ -14,13 +14,14 @@
       equals its predecessor's [digest_after], and the last
       [digest_after] is the resident digest. Catches a mutation that
       bypassed the log, or a log write racing a mutation.
-    - {b agreement}: a non-degraded answer — cached, stored, compiled
-      or fresh — is bit-identical (result and signing engine) to a
-      cold uncompiled {!Randworlds.Engine.degree_of_belief} dispatch
-      on the shadow KB. This is the paper's belief-change contract
-      ([Pr(φ | KB ∧ ψ)] must equal recomputing from scratch) and
-      subsumes compiled-vs-plain identity and cache coherence across
-      evictions, updates and restarts.
+    - {b agreement}: a non-degraded answer — cached, stored, from a
+      warm shared artifact or fresh — is bit-identical (result and
+      signing engine) to a cold
+      {!Randworlds.Engine.degree_of_belief} dispatch on a fresh
+      artifact of the shadow KB. This is the paper's belief-change
+      contract ([Pr(φ | KB ∧ ψ)] must equal recomputing from scratch)
+      and subsumes warm-vs-fresh artifact identity and cache coherence
+      across evictions, updates and restarts.
     - {b degrade}: a budget-expired answer is signed by the rules
       engine (the sound-interval fallback), and every observed
       degrade was counted in [timeouts].
@@ -76,8 +77,8 @@ val check_agreement :
   Syntax.formula ->
   Answer.t ->
   violation list
-(** Cold-dispatches the query against the shadow KB (uncompiled, no
-    cache) and compares. *)
+(** Cold-dispatches the query against the shadow KB (a fresh
+    artifact, no cache) and compares. *)
 
 val check_degrade : Answer.t -> violation list
 

@@ -105,6 +105,14 @@ exception Fatal of Invariant.violation
    event-line body. Step-generic invariants run in the driver. *)
 let exec st viol op =
   let agree q a = viol (Invariant.check_agreement ~options:sim_options ~shadow:st.shadow q a) in
+  (* The service counts every query it accepts against a loaded KB —
+     including one that fails because its compile failed (the
+     [compile.kb] fault); only "no knowledge base loaded" is refused
+     uncounted. *)
+  let failed_query () =
+    if st.loaded then
+      st.exp <- { st.exp with Invariant.queries = st.exp.Invariant.queries + 1 }
+  in
   match op with
   | Op.Load_kb fs ->
     let kb = Syntax.conj fs in
@@ -124,7 +132,9 @@ let exec st viol op =
       (short (Canonical.digest kb))
   | Op.Query q -> (
     match Service.query st.svc q with
-    | Error msg -> Printf.sprintf "query err=%S" msg
+    | Error msg ->
+      failed_query ();
+      Printf.sprintf "query err=%S" msg
     | Ok (a, origin) ->
       st.exp <- { st.exp with Invariant.queries = st.exp.Invariant.queries + 1 };
       agree q a;
@@ -134,7 +144,9 @@ let exec st viol op =
         (verdict a) a.Answer.engine (origin_str origin))
   | Op.Explain q -> (
     match Service.query_explained st.svc q with
-    | Error msg -> Printf.sprintf "explain err=%S" msg
+    | Error msg ->
+      failed_query ();
+      Printf.sprintf "explain err=%S" msg
     | Ok e ->
       st.exp <- { st.exp with Invariant.queries = st.exp.Invariant.queries + 1 };
       agree q e.Service.answer;
@@ -154,7 +166,9 @@ let exec st viol op =
         List.map2
           (fun q r ->
             match r with
-            | Error msg -> Printf.sprintf "err=%S" msg
+            | Error msg ->
+              failed_query ();
+              Printf.sprintf "err=%S" msg
             | Ok (a, _origin) ->
               incr answered;
               agree q a;
@@ -218,7 +232,9 @@ let exec st viol op =
         o.Service.artifact)
   | Op.Expire q -> (
     match Service.query ~budget:0.0 st.svc q with
-    | Error msg -> Printf.sprintf "expire err=%S" msg
+    | Error msg ->
+      failed_query ();
+      Printf.sprintf "expire err=%S" msg
     | Ok (a, origin) ->
       st.exp <- { st.exp with Invariant.queries = st.exp.Invariant.queries + 1 };
       (match origin with

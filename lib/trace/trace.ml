@@ -60,7 +60,10 @@ let pp ?(mask_timings = false) ppf evs =
         if mask_timings then Fmt.pf ppf "%s- %s [_ ms]@." (indent ()) phase
         else Fmt.pf ppf "%s- %s [%.2f ms]@." (indent ()) phase ms
       | Fact { tag; fields } ->
+        let render (k, v) =
+          if mask_timings && String.ends_with ~suffix:"_ms" k then " " ^ k ^ "=_"
+          else " " ^ k ^ "=" ^ string_of_value v
+        in
         Fmt.pf ppf "%s* %s%s@." (indent ()) tag
-          (String.concat ""
-             (List.map (fun (k, v) -> " " ^ k ^ "=" ^ string_of_value v) fields)))
+          (String.concat "" (List.map render fields)))
     evs

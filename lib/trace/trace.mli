@@ -122,5 +122,6 @@ val pp : ?mask_timings:bool -> Format.formatter -> event list -> unit
 (** Human-readable tree: [+ phase] opens a scope, [- phase [x ms]]
     closes it, [* tag k=v …] renders a fact at the current depth.
     [mask_timings] (default [false]) prints every {!Leave} duration as
-    [_ ms] — golden tests and the CI doc-snippet diff use this to stay
-    byte-stable. *)
+    [_ ms] and every fact field named [*_ms] (a timing, such as the
+    compiled-kb fact's [compile_ms]) as [_] — golden tests and the CI
+    doc-snippet diff use this to stay byte-stable. *)

@@ -223,7 +223,8 @@ let test_theorem_6_1_agreement () =
   let rw_query context phi =
     Randworlds.Answer.point_value
       (Randworlds.Maxent_engine.estimate
-         ~kb:(Rw_logic.Syntax.And (kb, parse context))
+         (Rw_compile.Compiled_kb.compile
+            (Rw_logic.Syntax.And (kb, parse context)))
          (parse phi))
   in
   let me_query (b, c) = Me.me_conditional tweety_rules (b, c) in

@@ -1,7 +1,8 @@
 (* Tests for the compiled-KB subsystem: artifact identity (digests),
-   answer invariance (compiled vs from-scratch dispatch), the service's
-   bounded artifact cache and its eviction, compile-once under a
-   parallel batch, and the compiled-kb trace provenance fact. *)
+   answer invariance (a shared artifact vs one compiled per call), the
+   service's bounded artifact cache and its eviction, compile-once
+   under a parallel batch, and the compiled-kb trace provenance
+   fact. *)
 
 open Rw_logic
 open Randworlds
@@ -53,6 +54,9 @@ let test_distinct_digests () =
 
 let test_artifact_contents () =
   let c = C.compile kb_a in
+  Alcotest.(check int) "compiling solves nothing" 0 (C.stats c).C.presolved;
+  (* The profile solves the whole schedule, filling its cells. *)
+  let profile = C.entropy_profile c in
   let s = C.stats c in
   Alcotest.(check int) "conjuncts" 2 s.C.conjunct_count;
   Alcotest.(check int) "statistical statements" 1 s.C.stat_count;
@@ -70,15 +74,16 @@ let test_artifact_contents () =
         if not (Float.is_finite e) then
           Alcotest.fail "non-finite entropy in the profile"
       | None -> Alcotest.fail "missing entropy on a feasible tolerance")
-    (C.entropy_profile c)
+    profile
 
 (* ------------------------------------------------------------------ *)
 (* Answer invariance                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Dispatch with a compiled artifact must be bit-identical to the
-   from-scratch path — across the dispatcher and each engine that
-   consumes artifact state directly. *)
+(* Dispatch on a caller's artifact — shared by every case on its KB,
+   so later cases read cells earlier ones filled — must be
+   bit-identical to dispatch on one compiled for the call, across the
+   dispatcher and each engine that consumes artifact state directly. *)
 let invariance_cases =
   [
     ("maxent point", kb_a, "Fly(Tweety)");
@@ -89,10 +94,11 @@ let invariance_cases =
   ]
 
 let test_dispatch_invariance () =
+  let shared = [ (kb_a, C.compile kb_a); (kb_b, C.compile kb_b) ] in
   List.iter
     (fun (name, kb, q) ->
       let query = parse q in
-      let compiled = C.compile kb in
+      let compiled = List.assq kb shared in
       let plain = Engine.degree_of_belief ~kb query in
       let fast = Engine.degree_of_belief ~compiled ~kb query in
       if not (result_eq plain.Answer.result fast.Answer.result) then
@@ -116,7 +122,7 @@ let test_forced_engine_invariance () =
           Answer.pp_result fast.Answer.result)
     Engine.all_ids
 
-(* A foreign artifact (compiled for a different KB) must be ignored,
+(* A foreign artifact (compiled for a different KB) must be replaced,
    not misapplied. *)
 let test_foreign_artifact_ignored () =
   let query = parse "Fly(Tweety)" in
@@ -132,10 +138,7 @@ let test_foreign_artifact_ignored () =
 (* Service artifact cache                                             *)
 (* ------------------------------------------------------------------ *)
 
-let compiled_stats svc =
-  match (Service.stats svc).Service.compiled with
-  | Some c -> c
-  | None -> Alcotest.fail "compiled tier disabled unexpectedly"
+let compiled_stats svc = (Service.stats svc).Service.compiled
 
 (* A capacity-1 artifact cache alternating between two KBs must drop
    the resident artifact and recompile each time the KB changes — and
@@ -178,15 +181,32 @@ let test_eviction () =
   if result_eq a1.Answer.result b1.Answer.result then
     Alcotest.fail "distinct KBs unexpectedly share an answer"
 
+(* Capacity 0 keeps no artifact resident: every dispatch compiles
+   afresh, and answers are those of the default tier. *)
 let test_disabled_tier () =
-  let config = { Service.default_config with Service.compiled_capacity = 0 } in
-  let svc = Service.create ~config () in
-  Service.load_kb svc kb_a;
-  (match Service.query svc (parse "Fly(Tweety)") with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "query failed: %s" msg);
-  Alcotest.(check bool) "stats omit the compiled tier" true
-    ((Service.stats svc).Service.compiled = None)
+  let answer config q =
+    let svc = Service.create ~config () in
+    Service.load_kb svc kb_a;
+    match Service.query svc (parse q) with
+    | Ok (a, _) -> (a, svc)
+    | Error msg -> Alcotest.failf "query failed: %s" msg
+  in
+  let config =
+    { Service.default_config with Service.compiled_capacity = 0;
+      cache_capacity = 0 }
+  in
+  List.iter
+    (fun q ->
+      let a, svc = answer config q in
+      let b, _ = answer Service.default_config q in
+      if not (result_eq a.Answer.result b.Answer.result) then
+        Alcotest.failf "%s: capacity 0 changed the answer: %a vs %a" q
+          Answer.pp_result a.Answer.result Answer.pp_result b.Answer.result;
+      Alcotest.(check string) (q ^ ": same engine") b.Answer.engine
+        a.Answer.engine;
+      Alcotest.(check int) (q ^ ": nothing resident") 0
+        (compiled_stats svc).Service.compiled_cache.Rw_service.Lru.size)
+    [ "Fly(Tweety)"; "~Fly(Tweety)"; "Fly(Opus)" ]
 
 (* ------------------------------------------------------------------ *)
 (* Compile-once under a parallel batch                                *)
@@ -194,8 +214,8 @@ let test_disabled_tier () =
 
 (* Twelve distinct queries fanned out on four domains: the artifact
    must be compiled exactly once (no duplicate solves, no torn
-   artifact), and every answer must match the sequential
-   compiled-tier-off run. *)
+   artifact), and every answer must match a sequential run that
+   compiles afresh per dispatch. *)
 let test_concurrent_compile_once () =
   let queries =
     List.map parse
@@ -212,7 +232,7 @@ let test_concurrent_compile_once () =
   let results = Service.batch ~jobs:4 svc queries in
   let c = compiled_stats svc in
   Alcotest.(check int) "compiled exactly once" 1 c.Service.compiles;
-  (* Reference answers: same service config, compiled tier off,
+  (* Reference answers: same service config, no artifact resident,
      sequential. *)
   let plain_config =
     { Service.default_config with Service.compiled_capacity = 0 }

@@ -55,8 +55,9 @@ let prop_rules_vs_maxent_direct_inference =
     (fun inst ->
       let kb = di_kb inst in
       let query = parse "Q(Eric)" in
-      let rules = Rules_engine.infer ~kb query in
-      let maxent = Maxent_engine.estimate ~kb query in
+      let compiled = Rw_compile.Compiled_kb.compile kb in
+      let rules = Rules_engine.infer compiled query in
+      let maxent = Maxent_engine.estimate compiled query in
       match (Answer.point_value rules, Answer.point_value maxent) with
       | Some r, Some m -> Float.abs (r -. m) < 0.02
       | None, Some m -> (
@@ -80,7 +81,10 @@ let prop_profile_tracks_maxent =
       let kb = parse (Printf.sprintf "||Q(x) | C(x)||_x ~=_1 %.12g /\\ C(Eric)" alpha) in
       let query = parse "Q(Eric)" in
       let asymptote =
-        match Answer.point_value (Maxent_engine.estimate ~kb query) with
+        match
+          Answer.point_value
+            (Maxent_engine.estimate (Rw_compile.Compiled_kb.compile kb) query)
+        with
         | Some v -> v
         | None -> QCheck.Test.fail_report "maxent declined"
       in

@@ -493,6 +493,53 @@ let test_session_two_clients () =
   shutdown_server l.path;
   Thread.join l.thread
 
+(* Framing is independent of how the bytes arrive: a multi-line payload
+   split into two reads at every byte offset (and fed one byte per
+   read) yields the same lines and the same unterminated tail. *)
+let test_frame_any_split () =
+  let payload = "{\"op\":\"stats\"}\n\nab\ncd\n\nlong line tail" in
+  let expected = [ "{\"op\":\"stats\"}"; ""; "ab"; "cd"; "" ] in
+  let run reads =
+    let pending = Buffer.create 4 in
+    let lines = ref [] in
+    List.iter
+      (fun piece ->
+        let chunk = Bytes.of_string (piece ^ "garbage past n") in
+        match
+          Server.frame pending chunk (String.length piece) (fun l ->
+              lines := l :: !lines;
+              `Continue)
+        with
+        | `Continue -> ()
+        | `Close -> Alcotest.fail "framing closed on its own")
+      reads;
+    (List.rev !lines, Buffer.contents pending)
+  in
+  let check name reads =
+    let lines, tail = run reads in
+    Alcotest.(check (list string)) (name ^ ": lines") expected lines;
+    Alcotest.(check string) (name ^ ": tail") "long line tail" tail
+  in
+  let n = String.length payload in
+  for k = 0 to n do
+    check
+      (Printf.sprintf "split at %d" k)
+      [ String.sub payload 0 k; String.sub payload k (n - k) ]
+  done;
+  check "byte by byte" (List.init n (fun i -> String.make 1 payload.[i]));
+  (* [`Close] stops at that line: later lines in the read are dropped. *)
+  let pending = Buffer.create 4 in
+  let seen = ref [] in
+  let chunk = Bytes.of_string "a\nb\nc" in
+  (match
+     Server.frame pending chunk (Bytes.length chunk) (fun l ->
+         seen := l :: !seen;
+         `Close)
+   with
+  | `Close -> ()
+  | `Continue -> Alcotest.fail "framing ignored `Close");
+  Alcotest.(check (list string)) "close stops framing" [ "a" ] !seen
+
 let suite =
   [
     ("listen: 4 concurrent clients, compile-once, identical answers",
@@ -508,4 +555,6 @@ let suite =
     ("listen: idle timeout closes with a reply", `Slow, test_idle_timeout);
     ("listen: shutdown drains and persists the store",
       `Quick, test_shutdown_persists_store);
+    ("listen: framing is the same at every read split",
+      `Quick, test_frame_any_split);
   ]

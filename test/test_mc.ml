@@ -288,7 +288,7 @@ let test_hard_kb_starves_quickly () =
       Rw_mc.Estimator.pp_stats stats);
   let a =
     Mc_engine.estimate ~seed:1 ~samples:8_000 ~tols:[ Tolerance.uniform 0.02 ]
-      ~vocab ~kb query
+      (Rw_compile.Compiled_kb.compile kb) query
   in
   (match a.Answer.result with
   | Answer.Within i ->

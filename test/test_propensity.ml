@@ -96,7 +96,9 @@ let test_learns_too_often () =
   (* Random worlds: three allowed atoms, uniform → 2/3. *)
   match
     Randworlds.Answer.point_value
-      (Randworlds.Maxent_engine.estimate ~kb (parse "Tall(C)"))
+      (Randworlds.Maxent_engine.estimate
+         (Rw_compile.Compiled_kb.compile kb)
+         (parse "Tall(C)"))
   with
   | Some v -> Alcotest.(check (float 0.01)) "random worlds stays at 2/3" (2.0 /. 3.0) v
   | None -> Alcotest.fail "no maxent value"

@@ -118,7 +118,11 @@ let test_unary_engine_agrees () =
   (* The exact-counting engine and the maxent engine must agree on a
      point-valued unary example. *)
   let kb = parse "Jaun(Eric) /\\ ||Hep(x) | Jaun(x)||_x ~=_1 0.8 /\\ Hep(Tom)" in
-  let a = Unary_engine.estimate ~ns:[ 12; 18; 24 ] ~kb (parse "Hep(Eric)") in
+  let a =
+    Unary_engine.estimate ~ns:[ 12; 18; 24 ]
+      (Rw_compile.Compiled_kb.compile kb)
+      (parse "Hep(Eric)")
+  in
   match Answer.point_value a with
   | Some v -> Alcotest.(check bool) "near 0.8" true (Float.abs (v -. 0.8) < 0.05)
   | None -> Alcotest.failf "unary engine gave %a" Answer.pp a
@@ -419,7 +423,8 @@ let test_yale_priorities () =
         (fun scale -> Tolerance.make ~scale ~powers ())
         [ 0.05; 0.025; 0.0125; 0.00625; 0.003125 ]
     in
-    Answer.point_value (Maxent_engine.estimate ~tols ~kb dead)
+    Answer.point_value
+      (Maxent_engine.estimate ~tols (Rw_compile.Compiled_kb.compile kb) dead)
   in
   Alcotest.(check (option (float 0.01))) "gun persistence stronger → dies"
     (Some 1.0)

@@ -319,13 +319,15 @@ let test_budget_zero_degrades () =
     let st = Service.stats svc2 in
     Alcotest.(check int) "timeout counted" 1 st.Service.timeouts
 
-(* A budget that expires inside the maxent solve: the first request
-   against broken_arm.kb pays the KB's compile, whose pre-solve is the
-   first code to poll the deadline. A 1 µs budget is gone by that first
-   poll, so the expiry lands inside the compile's solve — the compile
-   counter staying at 0 pins that. The same request has to degrade
-   promptly whether it runs on the calling domain or on a pool worker
-   (the listener routes every query through [Pool.async]). *)
+(* A budget that expires inside the maxent solve. The first request
+   against broken_arm.kb compiles the KB outside its budget (the
+   syntactic pass, no solve), so the artifact is resident however short
+   the budget; the first code to poll the deadline is the maxent solve,
+   and a 1 µs budget is gone by that first poll. So the artifact stays
+   resident with no solve cell filled — an expired solve is never
+   memoised. The same request has to degrade promptly whether it runs
+   on the calling domain or on a pool worker (the listener routes every
+   query through [Pool.async]). *)
 let test_budget_expires_in_maxent () =
   let degrades_promptly where run =
     let svc =
@@ -343,11 +345,15 @@ let test_budget_expires_in_maxent () =
       let elapsed = Unix.gettimeofday () -. t0 in
       Alcotest.check origin (where ^ ": degraded") Service.Degraded o;
       Alcotest.(check string) (where ^ ": rules answer") "rules" a.Answer.engine;
-      (match (Service.stats svc).Service.compiled with
+      Alcotest.(check int) (where ^ ": the artifact compiled once") 1
+        (Service.stats svc).Service.compiled.Service.compiles;
+      (match Service.artifact svc with
       | Some c ->
-        Alcotest.(check int) (where ^ ": no compile finished") 0
-          c.Service.compiles
-      | None -> Alcotest.failf "%s: compiled tier is off" where);
+        let s = Rw_compile.Compiled_kb.stats c in
+        Alcotest.(check int) (where ^ ": no solve cell filled") 0
+          (s.Rw_compile.Compiled_kb.presolved
+          + s.Rw_compile.Compiled_kb.infeasible)
+      | None -> Alcotest.failf "%s: no resident artifact" where);
       if elapsed >= 1.0 then
         Alcotest.failf "%s: degraded only after %.3f s" where elapsed
   in
@@ -355,6 +361,28 @@ let test_budget_expires_in_maxent () =
   degrades_promptly "pool worker" (fun f ->
       Rw_pool.Pool.run ~jobs:2 (fun p ->
           Rw_pool.Pool.await (Rw_pool.Pool.async p f)))
+
+(* A budget shorter than any compile must not starve the artifact:
+   the compile runs before the budget starts, so the first request
+   leaves the artifact resident and the later ones reuse it — one
+   compile for three queries, not a compile attempt per query. *)
+let test_short_budget_still_compiles () =
+  let svc =
+    Service.create ~config:{ Service.default_config with budget = Some 1e-6 } ()
+  in
+  (match Service.load_kb_file svc "../examples/kb/taxonomy.kb" with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "load taxonomy.kb: %s" msg);
+  List.iter
+    (fun q ->
+      match Service.query_src svc q with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s failed: %s" q msg)
+    [ "Fly(Opus)"; "Swims(Opus)"; "Feathered(Opus)" ];
+  Alcotest.(check int) "one compile across three short-budget queries" 1
+    (Service.stats svc).Service.compiled.Service.compiles;
+  Alcotest.(check bool) "the artifact is resident" true
+    (Service.artifact svc <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Belief-change sessions                                             *)
@@ -741,4 +769,6 @@ let suite =
     ("server: session_update / session_log ops", `Quick,
      test_server_session_ops);
     ("server: errors and shutdown", `Quick, test_server_errors_and_shutdown);
+    ("service: a budget shorter than the compile still warms the artifact",
+     `Quick, test_short_budget_still_compiles);
   ]
