@@ -574,7 +574,7 @@ let table_service () =
 (* What persistence buys and what it costs: a cold session (every
    query a full engine dispatch plus a write-through) against a
    warm-restarted one (fresh process: recovery scan, cold LRU, every
-   query a store hit), at pool widths 1 and 4; then the per-hit
+   query a store hit), at pool widths 1, 2 and 4; then the per-hit
    latency of each cache tier on one resident KB. *)
 let table_store () =
   section
@@ -596,22 +596,22 @@ let table_store () =
         ~finally:(fun () -> Rw_store.Store.close st)
         (fun () -> f st report)
   in
-  let service ?store () =
+  let service ?store ?pool () =
     Rw_service.Service.create
       ~config:
         {
           Rw_service.Service.default_config with
           Rw_service.Service.cache_capacity = 256;
         }
-      ?store ()
+      ?store ?pool ()
   in
-  let run_workload ~jobs svc =
+  let run_workload svc =
     List.iter
       (fun (e : Rw_kbzoo.Kbzoo.entry) ->
         Rw_service.Service.load_kb svc e.kb;
         List.iter
           (function Ok _ -> () | Error msg -> failwith msg)
-          (Rw_service.Service.batch ~jobs svc
+          (Rw_service.Service.batch svc
              [
                e.query;
                Syntax.Not (Syntax.Not e.query);
@@ -627,14 +627,14 @@ let table_store () =
   let path = Filename.temp_file "rw_bench_store" ".rws" in
   let (), cold_t =
     time (fun () ->
-        with_store path (fun st _ -> run_workload ~jobs:1 (service ~store:st ())))
+        with_store path (fun st _ -> run_workload (service ~store:st ())))
   in
   let recovered = ref 0 in
   let (), warm_t =
     time (fun () ->
         with_store path (fun st report ->
             recovered := report.Rw_store.Store.recovered;
-            run_workload ~jobs:1 (service ~store:st ())))
+            run_workload (service ~store:st ())))
   in
   Fmt.pr "  %-28s %12.1f %12.1f %8.1fx %10d@." "zoo x3 variants, jobs 1"
     (cold_t *. 1000.0) (warm_t *. 1000.0)
@@ -643,32 +643,37 @@ let table_store () =
   Sys.remove path;
   (* One batch of distinct queries through the domain pool: the
      parallel write-through (cold) and the parallel store-hit path
-     (warm restart) at widths 1 and 4. Distinct digests, so domains
-     never dogpile on one cache entry. *)
+     (warm restart) at widths 1, 2 and 4. Each timed session makes its
+     own pool, as a fresh process would, so worker start-up is
+     counted. Distinct digests, so domains never dogpile on one cache
+     entry. *)
   let batch_n = 64 in
   let batch_kb = parse "Jaun(Eric) /\\ ||Hep(x) | Jaun(x)||_x ~=_1 0.8" in
   let batch_qs =
     List.init batch_n (fun i -> parse (Printf.sprintf "Hep(C%d)" i))
   in
-  let run_batch ~jobs svc =
-    Rw_service.Service.load_kb svc batch_kb;
-    List.iter
-      (function Ok _ -> () | Error msg -> failwith msg)
-      (Rw_service.Service.batch ~jobs svc batch_qs)
+  let run_batch ~jobs f =
+    Rw_pool.Pool.run ~jobs (fun pool ->
+        let svc = f pool in
+        Rw_service.Service.load_kb svc batch_kb;
+        List.iter
+          (function Ok _ -> () | Error msg -> failwith msg)
+          (Rw_service.Service.batch svc batch_qs))
   in
   List.iter
     (fun jobs ->
       let path = Filename.temp_file "rw_bench_store" ".rws" in
       let (), cold_t =
         time (fun () ->
-            with_store path (fun st _ -> run_batch ~jobs (service ~store:st ())))
+            with_store path (fun st _ ->
+                run_batch ~jobs (fun pool -> service ~store:st ~pool ())))
       in
       let recovered = ref 0 in
       let (), warm_t =
         time (fun () ->
             with_store path (fun st report ->
                 recovered := report.Rw_store.Store.recovered;
-                run_batch ~jobs (service ~store:st ())))
+                run_batch ~jobs (fun pool -> service ~store:st ~pool ())))
       in
       Fmt.pr "  %-28s %12.1f %12.1f %8.1fx %10d@."
         (Printf.sprintf "%d-query batch, jobs %d" batch_n jobs)
@@ -676,7 +681,48 @@ let table_store () =
         (cold_t /. Float.max 1e-9 warm_t)
         !recovered;
       Sys.remove path)
-    [ 1; 4 ];
+    [ 1; 2; 4 ];
+  (* Why the wider rows lose, free of the service: 64 tasks of float
+     arithmetic that never allocate (so never collect) against 64 that
+     allocate, at each width on a pool whose workers are already
+     running. A minor collection stops every domain, so once domains
+     outnumber the cores that run them, each collection waits for the
+     descheduled ones. Medians of 9. *)
+  let spin () =
+    let x = ref 0.0 in
+    for i = 1 to 30_000 do
+      x := !x +. sqrt (float_of_int i)
+    done;
+    ignore (Sys.opaque_identity !x)
+  in
+  let alloc () =
+    ignore (Sys.opaque_identity (List.init 3_000 float_of_int))
+  in
+  let probe f jobs =
+    let runs =
+      List.init 9 (fun _ ->
+          Rw_pool.Pool.run ~jobs (fun p ->
+              ignore (Rw_pool.Pool.map p f (List.init 8 ignore));
+              let g0 = (Gc.quick_stat ()).Gc.minor_collections in
+              let (), dt =
+                time (fun () -> ignore (Rw_pool.Pool.map p f (List.init 64 ignore)))
+              in
+              (dt, (Gc.quick_stat ()).Gc.minor_collections - g0)))
+      |> List.sort compare
+    in
+    List.nth runs 4
+  in
+  List.iter
+    (fun (name, f) ->
+      Fmt.pr "  64 %-5s tasks:%s@." name
+        (String.concat ""
+           (List.map
+              (fun jobs ->
+                let dt, gcs = probe f jobs in
+                Fmt.str "  jobs %d %.2f ms (%d minor GCs)" jobs (dt *. 1000.0)
+                  gcs)
+              [ 1; 2; 4 ])))
+    [ ("spin", spin); ("alloc", alloc) ];
   (* Per-hit latency by tier: N distinct queries against one resident
      KB, asked once per tier state. LRU-only vs store-backed separates
      the hashtable probe from the positional read + payload decode. *)
@@ -942,10 +988,7 @@ let table_parallel () =
   let mc_results =
     List.map
       (fun jobs ->
-        let o, dt =
-          if jobs = 1 then run_mc None
-          else Rw_pool.Pool.run ~jobs (fun p -> run_mc (Some p))
-        in
+        let o, dt = Rw_pool.Pool.run ~jobs (fun p -> run_mc (Some p)) in
         if jobs = 1 then mc_base := dt;
         let cell =
           match o with
@@ -968,6 +1011,7 @@ let table_parallel () =
     List.init 16 (fun i -> Printf.sprintf "Hep(Eric) /\\ R%d(Eric, Eric)" i)
   in
   let run_batch jobs =
+    Rw_pool.Pool.run ~jobs @@ fun pool ->
     let svc =
       Rw_service.Service.create
         ~config:
@@ -980,11 +1024,11 @@ let table_parallel () =
                 Engine.mc_samples = Some 10_000;
               };
           }
-        ()
+        ~pool ()
     in
     Rw_service.Service.load_kb svc hep_kb;
     let t0 = Unix.gettimeofday () in
-    let results = Rw_service.Service.batch_srcs ~jobs svc srcs in
+    let results = Rw_service.Service.batch_srcs svc srcs in
     let dt = Unix.gettimeofday () -. t0 in
     let answers =
       List.map

@@ -58,25 +58,17 @@ let parse_formula_arg s =
 (* query                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type engine_choice = Auto | Rules | Maxent | Unary | Enum | Mc
-
+(* The engine to force, or [None] ("auto") for the dispatcher. *)
 let engine_conv =
   let parse = function
-    | "auto" -> Ok Auto
-    | "rules" -> Ok Rules
-    | "maxent" -> Ok Maxent
-    | "unary" -> Ok Unary
-    | "enum" -> Ok Enum
-    | "mc" -> Ok Mc
-    | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
+    | "auto" -> Ok None
+    | s -> (
+      match Engine.id_of_string s with
+      | Some id -> Ok (Some id)
+      | None -> Error (`Msg (Printf.sprintf "unknown engine %S" s)))
   in
-  let print ppf = function
-    | Auto -> Fmt.string ppf "auto"
-    | Rules -> Fmt.string ppf "rules"
-    | Maxent -> Fmt.string ppf "maxent"
-    | Unary -> Fmt.string ppf "unary"
-    | Enum -> Fmt.string ppf "enum"
-    | Mc -> Fmt.string ppf "mc"
+  let print ppf e =
+    Fmt.string ppf (match e with None -> "auto" | Some id -> Engine.id_name id)
   in
   Arg.conv (parse, print)
 
@@ -98,7 +90,6 @@ let run_query kb_path query_src engine seed samples ci_width jobs verbose json
           Engine.mc_seed = seed;
           mc_samples = samples;
           mc_ci_width = ci_width;
-          jobs;
         }
       in
       let trace =
@@ -106,15 +97,12 @@ let run_query kb_path query_src engine seed samples ci_width jobs verbose json
         else None
       in
       let answer =
+        Rw_pool.Pool.run ~jobs @@ fun pool ->
         match engine with
-        | Auto -> Engine.degree_of_belief ~options ?trace ~kb query
+        | None -> Engine.degree_of_belief ~options ~pool ?trace ~kb query
         (* Engine.run is total: out-of-fragment engines decline with
            Not_applicable (exit 2) instead of raising. *)
-        | Rules -> Engine.run ~options ?trace Engine.Rules ~kb query
-        | Maxent -> Engine.run ~options ?trace Engine.Maxent ~kb query
-        | Unary -> Engine.run ~options ?trace Engine.Unary ~kb query
-        | Enum -> Engine.run ~options ?trace Engine.Enum ~kb query
-        | Mc -> Engine.run ~options ?trace Engine.Mc ~kb query
+        | Some id -> Engine.run ~options ~pool ?trace id ~kb query
       in
       let events =
         match trace with Some tr -> Rw_trace.Trace.events tr | None -> []
@@ -154,7 +142,7 @@ let query_arg =
 
 let engine_arg =
   Arg.(
-    value & opt engine_conv Auto
+    value & opt engine_conv None
     & info [ "e"; "engine" ] ~docv:"ENGINE"
         ~doc:"Engine: auto, rules, maxent, unary, enum, or mc.")
 
@@ -186,26 +174,19 @@ let ci_width_arg =
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print engine diagnostics.")
 
-(* --jobs on `query` defaults to 1 (a single query usually is not worth
-   spinning a pool up for); on `batch` and `fuzz`, where the work list
-   is long, it defaults to the machine width. The answers themselves
-   never depend on the value — see TUTORIAL §10. *)
-let jobs_arg ~default ~doc =
-  Arg.(value & opt int default & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+(* --jobs, the width of the process's one domain pool, defaults to 1 on
+   `query` (a single query usually is not worth fanning out); on
+   `batch`, `serve` and `fuzz` it defaults to the machine width. The
+   answers never depend on the value — see TUTORIAL §10. *)
+let jobs_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Width of the process's one domain pool. Results are identical \
+           at any value (for a fixed $(b,--seed)); only throughput changes.")
 
-let query_jobs_arg =
-  jobs_arg ~default:1
-    ~doc:
-      "Worker domains for the Monte-Carlo engine. Answers are \
-       bit-identical for a fixed $(b,--seed) at any value."
-
-let pool_jobs_arg =
-  jobs_arg
-    ~default:(Rw_pool.Pool.default_jobs ())
-    ~doc:
-      "Worker domains (default: the machine's recommended domain \
-       count). Results are identical at any value; only throughput \
-       changes."
+let pool_jobs_arg = jobs_arg (max 1 (Domain.recommended_domain_count ()))
 
 let json_arg =
   Arg.(
@@ -241,7 +222,7 @@ let query_cmd =
     (Cmd.info "query" ~doc ~exits:common_exits)
     Term.(
       const run_query $ kb_arg $ query_arg $ engine_arg $ seed_arg
-      $ samples_arg $ ci_width_arg $ query_jobs_arg $ verbose_arg $ json_arg
+      $ samples_arg $ ci_width_arg $ jobs_arg 1 $ verbose_arg $ json_arg
       $ explain_arg $ explain_json_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -260,8 +241,10 @@ let read_query_lines = function
   | path -> In_channel.with_open_text path In_channel.input_lines
 
 let run_batch kb_path queries_path cache_size budget jobs json verbose =
+  Rw_pool.Pool.run ~jobs @@ fun pool ->
   let svc =
-    Rw_service.Service.create ~config:(service_config cache_size budget) ()
+    Rw_service.Service.create ~config:(service_config cache_size budget) ~pool
+      ()
   in
   match Rw_service.Service.load_kb_file svc kb_path with
   | Error msg ->
@@ -280,9 +263,9 @@ let run_batch kb_path queries_path cache_size budget jobs json verbose =
             l <> "" && l.[0] <> '#')
           (List.map String.trim lines)
       in
-      (* Evaluate the whole batch (possibly on a domain pool), then
-         print in input order — the output is identical at any --jobs. *)
-      let results = Rw_service.Service.batch_srcs ~jobs svc srcs in
+      (* Evaluate the whole batch (possibly on the pool), then print in
+         input order — the output is identical at any --jobs. *)
+      let results = Rw_service.Service.batch_srcs svc srcs in
       let failures = ref 0 in
       List.iter2
         (fun src (result, item_ms) ->
@@ -407,18 +390,19 @@ let run_serve kb_path cache_size budget store_path no_store jobs
     Fmt.epr "error opening store %s: %s@." path msg;
     exit_kb_error
   | Ok store -> (
+    Rw_pool.Pool.run ~jobs @@ fun pool ->
     let svc =
       Rw_service.Service.create
         ~config:(service_config cache_size budget)
-        ?store ()
+        ?store ~pool ()
     in
     let serve () =
       let code =
         match listen with
-        | None -> Rw_service.Server.run ~jobs svc
+        | None -> Rw_service.Server.run svc
         | Some addr_str ->
           let addr = Rw_service.Server.parse_addr addr_str in
-          Rw_service.Server.listen ~jobs ~max_clients ?idle_timeout ~addr svc
+          Rw_service.Server.listen ~max_clients ?idle_timeout ~addr svc
       in
       Option.iter Rw_store.Store.close store;
       code
@@ -502,8 +486,9 @@ let serve_cmd =
          are cached across requests keyed \
          on canonical (KB, query, options) digests; with $(b,--store) they \
          also persist across sessions and kill -9 (see $(b,rw store)). \
-         Batch requests without their own \"jobs\" field fan out across \
-         $(b,--jobs) worker domains. Per-request budgets degrade to the \
+         Batch requests fan out on the process's one pool of $(b,--jobs) \
+         domains (a \"jobs\" field in a request is ignored). Per-request \
+         budgets degrade to the \
          rules engine's sound interval on expiry. Request logs go to \
          stderr.";
       `P
@@ -547,14 +532,14 @@ let run_client addr_str retry =
     (* --retry covers the serve-startup race in scripts: keep trying
        to connect until the deadline instead of failing on the first
        refused/absent socket. *)
-    let deadline = Unix.gettimeofday () +. retry in
+    let deadline = Rw_prelude.Clock.now () +. retry in
     let rec connect () =
       let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
       match Unix.connect fd sa with
       | () -> Ok fd
       | exception Unix.Unix_error (e, _, _) ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
-        if Unix.gettimeofday () < deadline then begin
+        if Rw_prelude.Clock.now () < deadline then begin
           Unix.sleepf 0.05;
           connect ()
         end

@@ -49,7 +49,7 @@ dune exec bin/rw.exe -- fuzz --seed 42 --cases 500 --oracle update \
 #
 # 1. Fault sweep: a pinned-seed 300-step run with the fault plane on —
 #    failed and torn store writes, failed fsyncs, failed compiles,
-#    rejected pool fan-outs, crash-restarts — must hold every
+#    failed fan-out submissions, crash-restarts — must hold every
 #    invariant (exit 0; seed 3 was chosen because all five catalog
 #    points fire within it, which test_sim.ml also pins).
 dune exec bin/rw.exe -- sim --seed 3 --steps 300 --faults --max-size 4 \
@@ -162,6 +162,24 @@ if [ "$norm1" != "$norm2" ]; then
 fi
 rm -rf "$store_dir"
 
+# One pool per process: a 12-item batch (past the parallel threshold,
+# so it fans out) answers identically on a width-1 and a width-2
+# `rw serve` pool. The request's own "jobs" field is ignored — the
+# process's --jobs is the only width setting.
+pool_batch='{"id":1,"op":"batch","jobs":4,"queries":["Hep(Eric)","~Hep(Eric)","Jaun(Eric)","Hep(Eric) /\\ Jaun(Eric)","Hep(Dana)","Jaun(Dana)","Hep(Eric) \\/ Hep(Dana)","Hep(Kim)","~Jaun(Eric)","Hep(Pat)","Hep(Sam)","Hep(Lou)"]}'
+pool1=$(printf '%s\n' "$pool_batch" \
+  | _build/default/bin/rw.exe serve --kb examples/kb/hepatitis.kb --jobs 1 \
+      2> /dev/null | strip_reply)
+pool2=$(printf '%s\n' "$pool_batch" \
+  | _build/default/bin/rw.exe serve --kb examples/kb/hepatitis.kb --jobs 2 \
+      2> /dev/null | strip_reply)
+case $pool1 in
+  *'"count":12'*) ;;
+  *) echo "ci: 12-item batch not answered: $pool1" >&2; exit 1 ;;
+esac
+[ "$pool1" = "$pool2" ] \
+  || { echo "ci: batch answers depend on the serve pool width" >&2; exit 1; }
+
 # Socket serve: a listening server hammered by 4 parallel clients must
 # answer everyone coherently, then survive kill -9 with a clean store.
 # Each client sends the same query set over its own connection; every
@@ -246,9 +264,9 @@ case $budget_reply in
      exit 1 ;;
 esac
 
-# The simulated face of the batch/pool surface: a rejected parallel
-# fan-out must fail atomically and a sequential retry must answer —
-# replayed from the pinned corpus case.
+# The simulated face of the batch/pool surface: a failed fan-out
+# submission must fail atomically and the same batch retried on the
+# same pool must answer — replayed from the pinned corpus case.
 dune exec bin/rw.exe -- sim --replay test/sim_corpus/pool-submit-batch.sim \
   > /dev/null \
   || { echo "ci: pool-submit sim replay found a violation" >&2; exit 1; }
@@ -371,6 +389,20 @@ dune exec bin/rw.exe -- query --kb examples/kb/tweety.kb \
   --query 'Fly(Tweety)' --explain | grep -q 'id=5.16'
 dune exec bin/rw.exe -- query --kb examples/kb/tweety.kb \
   --query 'Fly(Tweety)' --explain-json | grep -q '"engine-selected"'
+
+# Smoke: on a top-level disjunctive KB the maxent-profile fact shows
+# the dominant disjunct's maxent point (its two constraint rows), not
+# the unconstrained uniform point of the whole disjunction.
+disj_dir=$(mktemp -d)
+printf '%s\n' \
+  '(||LUsable(x)||_x ~=_1 0.2 /\ LBroken(Eric)) \/ (||LUsable(x)||_x ~=_1 0.2 /\ RBroken(Eric))' \
+  > "$disj_dir/broken_arm_or.kb"
+dune exec bin/rw.exe -- query --kb "$disj_dir/broken_arm_or.kb" \
+  --query 'LUsable(Eric)' --explain \
+  | grep -q 'maxent-profile .* constraints=2 ' \
+  || { echo "ci: disjunctive maxent-profile is not the dominant disjunct's" >&2
+       exit 1; }
+rm -rf "$disj_dir"
 
 # Docs: the TUTORIAL §11 trace snippet is regenerated from the binary
 # and diffed against the committed copy, so the walkthrough can never

@@ -86,6 +86,7 @@ type t = {
   ground_inconsistent : bool;
   degenerate_inconsistent : bool;
   unary : unary_data option;
+  disjuncts : t list option Atomic.t;  (** set once, like [digest] *)
   compile_ms : float;
   uses : int Atomic.t;
   solve_hits : int Atomic.t;
@@ -202,6 +203,7 @@ let syntactic kb unary =
     ground_inconsistent = ground_contradiction conjuncts;
     degenerate_inconsistent = degenerate_self_conditional stat_index;
     unary;
+    disjuncts = Atomic.make None;
     compile_ms = 0.0;
     uses = Atomic.make 0;
     solve_hits = Atomic.make 0;
@@ -275,6 +277,22 @@ let digest t =
     Option.get (Atomic.get t.digest)
 
 let kb t = t.kb
+
+let rec flatten_or = function
+  | Or (a, b) -> flatten_or a @ flatten_or b
+  | f -> [ f ]
+
+(* Racing first readers may each compile the disjuncts, but only the
+   first store is handed out, so every query shares one set of memos. *)
+let disjuncts t =
+  match Atomic.get t.disjuncts with
+  | Some ds -> ds
+  | None ->
+    let ds =
+      match flatten_or t.kb with [] | [ _ ] -> [] | ds -> List.map compile ds
+    in
+    ignore (Atomic.compare_and_set t.disjuncts None (Some ds));
+    Option.get (Atomic.get t.disjuncts)
 
 (* Canonical digests identify KBs up to alpha/AC renaming, so two
    structurally different formulas can share one digest. Consumers gate

@@ -68,6 +68,11 @@ val digest : t -> string
 
 val kb : t -> Syntax.formula
 
+val disjuncts : t -> t list
+(** The artifacts of the KB's top-level disjuncts [KB₁ ∨ … ∨ KB_m]
+    ([m >= 2]), compiled on first read and held from then on, so their
+    solves serve every later query; [[]] for a non-disjunctive KB. *)
+
 val matches : t -> Syntax.formula -> bool
 (** Structural identity with the compiled KB. Canonical digests
     identify KBs only up to alpha/AC renaming, so cache layers must

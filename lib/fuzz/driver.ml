@@ -33,7 +33,7 @@ let pp_report ppf r =
 
 let run ?(options = Oracle.fuzz_options) ?oracles ?corpus_dir ?progress
     ?(max_size = 5) ?(jobs = 1) ~seed ~cases () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Rw_prelude.Clock.now () in
   (* Progress and corpus writes may happen from several domains; the
      case pipeline itself is embarrassingly parallel because a case is
      a pure function of (seed, max_size, index). *)
@@ -78,12 +78,11 @@ let run ?(options = Oracle.fuzz_options) ?oracles ?corpus_dir ?progress
   in
   let indices = List.init cases Fun.id in
   let results =
-    if jobs <= 1 then List.map run_case indices
-    else Rw_pool.Pool.run ~jobs (fun p -> Rw_pool.Pool.map p run_case indices)
+    Rw_pool.Pool.run ~jobs (fun p -> Rw_pool.Pool.map p run_case indices)
   in
   {
     seed;
     cases;
     failures = List.filter_map Fun.id results;
-    seconds = Unix.gettimeofday () -. t0;
+    seconds = Rw_prelude.Clock.now () -. t0;
   }

@@ -218,8 +218,8 @@ let estimate ?(config = default_config) ?pool ?tilt_solve ~seed ~vocab ~n ~tol
   if not (Vocab.covers vocab kb && Vocab.covers vocab query) then
     invalid_arg "Estimator.estimate: vocabulary does not cover formulas";
   let master = Prng.create seed in
-  let t0 = Unix.gettimeofday () in
-  let elapsed () = Unix.gettimeofday () -. t0 in
+  let t0 = Rw_prelude.Clock.now () in
+  let elapsed () = Rw_prelude.Clock.now () -. t0 in
   let total_samples = ref 0 and total_hits = ref 0 in
   let uniform_acc = fresh_accum () in
   (* [proposal = None] while sampling uniformly. *)
@@ -286,8 +286,8 @@ let estimate ?(config = default_config) ?pool ?tilt_solve ~seed ~vocab ~n ~tol
     let specs = specs remaining chunks_per_round in
     let accs =
       match pool with
-      | Some p when Rw_pool.Pool.jobs p > 1 -> Rw_pool.Pool.map p run_chunk specs
-      | _ -> List.map run_chunk specs
+      | Some p -> Rw_pool.Pool.map p run_chunk specs
+      | None -> List.map run_chunk specs
     in
     (* Merge in chunk order: float addition is not associative, so the
        fixed order is part of the determinism contract. *)

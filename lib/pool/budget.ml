@@ -11,8 +11,7 @@ type state = { mutable deadline : float option; mutable tick : int }
 let key : state Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { deadline = None; tick = 0 })
 
-(* Seconds on CLOCK_MONOTONIC: immune to wall-clock steps. *)
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+let now = Rw_prelude.Clock.now
 
 let check () =
   let st = Domain.DLS.get key in

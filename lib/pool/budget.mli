@@ -26,9 +26,8 @@ exception Expired
     installer must re-raise it. *)
 
 val now : unit -> float
-(** Seconds on the monotonic clock, from an arbitrary origin: only
-    differences between two readings mean anything. The one clock for
-    deadlines, idle timeouts and compile timings. *)
+(** {!Rw_prelude.Clock.now}, re-exported: seconds on the monotonic
+    clock, from an arbitrary origin. *)
 
 val check : unit -> unit
 (** Poll the current domain's deadline; raises {!Expired} when it has

@@ -10,8 +10,6 @@ let in_task_key : bool ref Domain.DLS.key =
 
 let on_worker () = !(Domain.DLS.get in_task_key)
 
-let default_jobs () = max 1 (Domain.recommended_domain_count ())
-
 type t = {
   jobs : int;
   m : Mutex.t;
@@ -51,19 +49,21 @@ let rec worker_loop t =
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   if on_worker () then raise Nested;
-  let t =
-    {
-      jobs;
-      m = Mutex.create ();
-      work = Condition.create ();
-      queue = Queue.create ();
-      closing = false;
-      workers = [];
-    }
-  in
-  t.workers <-
-    List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
+  {
+    jobs;
+    m = Mutex.create ();
+    work = Condition.create ();
+    queue = Queue.create ();
+    closing = false;
+    workers = [];
+  }
+
+(* Under [t.m]; a closed pool starts none, so [shutdown] joins all. *)
+let ensure_workers t n =
+  if not t.closing then
+    for _ = List.length t.workers + 1 to n do
+      t.workers <- Domain.spawn (fun () -> worker_loop t) :: t.workers
+    done
 
 let shutdown t =
   Mutex.lock t.m;
@@ -90,8 +90,6 @@ type 'a future = {
 }
 
 let async t f =
-  if t.jobs < 2 then
-    invalid_arg "Pool.async: needs a spawned worker (jobs >= 2)";
   let fut =
     { fm = Mutex.create (); done_ = Condition.create (); result = None }
   in
@@ -112,6 +110,8 @@ let async t f =
     Mutex.unlock t.m;
     invalid_arg "Pool.async: pool is shut down"
   end;
+  (* The submitter only waits, so all [jobs] workers are needed. *)
+  ensure_workers t t.jobs;
   Queue.add task t.queue;
   Condition.signal t.work;
   Mutex.unlock t.m;
@@ -159,6 +159,8 @@ let map t f xs =
       Mutex.unlock t.m
     in
     Mutex.lock t.m;
+    (* The caller runs tasks too, so [jobs - 1] workers suffice. *)
+    ensure_workers t (t.jobs - 1);
     for i = 0 to n - 1 do
       Queue.add (task i) t.queue
     done;

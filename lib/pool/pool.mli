@@ -1,10 +1,11 @@
-(** A fixed-size domain work pool.
+(** A fixed-width domain work pool, one per process.
 
-    One coordinating domain fans work out to [jobs - 1] spawned worker
-    domains (plus itself) over a [Mutex]/[Condition] task queue — the
+    Worker domains share a [Mutex]/[Condition] task queue — the
     parallelism substrate for the Monte-Carlo sampler, the service's
-    batch evaluator, and the fuzz driver. Nothing here knows about
-    those clients; the contract is just:
+    batch evaluator, the serve listener and the fuzz driver. Workers
+    start on first demand: {!map} starts [jobs - 1] (its caller runs
+    tasks too), {!async} starts [jobs] (its submitter only waits).
+    Nothing here knows about the clients; the contract is just:
 
     - {!map} preserves order: the result list lines up with the input
       list however the tasks were scheduled;
@@ -19,8 +20,8 @@
       (the MC engine under a parallel batch) tests {!on_worker} and
       falls back to its sequential path.
 
-    [jobs = 1] spawns no domains at all — {!map} degenerates to an
-    in-order sequential map — so callers need no separate code path
+    At [jobs = 1], {!map} spawns no domains at all — it degenerates to
+    an in-order sequential map — so callers need no separate code path
     for the sequential case. *)
 
 type t
@@ -30,24 +31,17 @@ exception Nested
     task: a task blocking on a second fan-out over the same worker set
     is a deadlock, so it is refused eagerly instead. *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — the CLI default for
-    [--jobs]. *)
-
 val create : jobs:int -> t
-(** Spawn a pool of [jobs - 1] worker domains ([jobs >= 1]; raises
-    [Invalid_argument] otherwise, {!Nested} from inside a task). The
-    caller participates in every {!map}, so [jobs] is the true
-    parallel width. *)
+(** A pool of width [jobs] ([jobs >= 1]; raises [Invalid_argument]
+    otherwise, {!Nested} from inside a task). Spawns no domain yet. *)
 
 val shutdown : t -> unit
 (** Stop accepting work, wake every idle worker, and join them all.
-    Idempotent. *)
+    Idempotent; no worker starts afterwards. *)
 
 val run : jobs:int -> (t -> 'a) -> 'a
 (** [run ~jobs f] is [create]/[f]/[shutdown] with the shutdown
-    guaranteed on exceptions — the only way pools are used in this
-    tree. *)
+    guaranteed on exceptions. *)
 
 val jobs : t -> int
 
@@ -77,11 +71,8 @@ type 'a future
 val async : t -> (unit -> 'a) -> 'a future
 (** Enqueue [f] for the worker domains and return immediately. The
     submitting thread's {!Budget} deadline (if any) is inherited by
-    the task, as with {!map}. Requires a pool with at least one
-    spawned worker ([jobs >= 2] — the submitter does not participate,
-    so someone else must run the task); raises [Invalid_argument]
-    otherwise, or if the pool has been shut down. Safe to call from
-    any sys-thread. *)
+    the task, as with {!map}. Raises [Invalid_argument] if the pool
+    has been shut down. Safe to call from any sys-thread. *)
 
 val await : 'a future -> 'a
 (** Block until the future's task has run; return its value or

@@ -1,0 +1,3 @@
+(** The monotonic clock — see the interface. *)
+
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9

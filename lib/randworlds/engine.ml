@@ -30,10 +30,6 @@ type options = {
   mc_sizes : int list option;  (** domain sizes for the Monte-Carlo engine *)
   mc_cross_check : bool;
       (** statistically cross-check exact enum points by sampling *)
-  jobs : int;
-      (** domain-pool width for the Monte-Carlo sampler; answers are
-          jobs-invariant by construction, so this knob is excluded
-          from the service's options fingerprint *)
 }
 
 let default_options =
@@ -47,7 +43,6 @@ let default_options =
     mc_ci_width = None;
     mc_sizes = None;
     mc_cross_check = true;
-    jobs = 1;
   }
 
 (* Symbols of a formula, for the independence split: predicates and
@@ -167,7 +162,7 @@ let consume trace c =
 let world_vocab c query =
   Vocab.merge (Compiled_kb.vocab c) (Vocab.of_formula query)
 
-let rec infer ?(options = default_options) ?compiled ?trace ~kb query =
+let rec infer ?(options = default_options) ?pool ?compiled ?trace ~kb query =
   Trace.span trace "dispatch" @@ fun () ->
   let c = artifact ~kb compiled in
   consume trace c;
@@ -209,7 +204,7 @@ let rec infer ?(options = default_options) ?compiled ?trace ~kb query =
           ("parts", Trace.I (List.length groups))
         ];
       let sub_answers =
-        List.map (fun (q, k) -> infer ~options ?trace ~kb:k q) groups
+        List.map (fun (q, k) -> infer ~options ?pool ?trace ~kb:k q) groups
       in
       let values = List.map Answer.point_value sub_answers in
       if List.for_all Option.is_some values then begin
@@ -228,17 +223,17 @@ let rec infer ?(options = default_options) ?compiled ?trace ~kb query =
           [ ("text",
              Trace.S "independence split abandoned: a part had no point value")
           ];
-        fallback ~options ~trace ~kb c query
+        fallback ~options ~pool ~trace ~kb c query
       end
     end
-    | _ -> fallback ~options ~trace ~kb c query
+    | _ -> fallback ~options ~pool ~trace ~kb c query
   end
 
 and refine ~options ~trace c query =
   let a = Maxent_engine.estimate ?tols:options.tols ?trace c query in
   if Answer.definitive a then Some a else None
 
-and fallback ~options ~trace ~kb c query =
+and fallback ~options ~pool ~trace ~kb c query =
   let a = Maxent_engine.estimate ?tols:options.tols ?trace c query in
   if Answer.definitive a then
     selected trace "maxent concentration was definitive" a
@@ -275,13 +270,13 @@ and fallback ~options ~trace ~kb c query =
           else a
         in
         selected trace "exhaustive enumeration over the (N, tau) grid" a
-      | _ -> monte_carlo ~options ~trace c query None
+      | _ -> monte_carlo ~options ~pool ~trace c query None
       | exception Rw_model.Enum.Too_many_worlds m ->
-        monte_carlo ~options ~trace c query (Some m)
+        monte_carlo ~options ~pool ~trace c query (Some m)
     end
   end
 
-and monte_carlo ~options ~trace c query blown =
+and monte_carlo ~options ~pool ~trace c query blown =
   (match blown with
   | Some m ->
     emit trace "engine"
@@ -294,7 +289,7 @@ and monte_carlo ~options ~trace c query blown =
       [ ("engine", Trace.S "enum"); ("outcome", Trace.S "not definitive") ]);
   let a =
     Mc_engine.estimate ~seed:options.mc_seed ?samples:options.mc_samples
-      ~jobs:options.jobs ?ns:options.mc_sizes ?ci_width:options.mc_ci_width
+      ?pool ?ns:options.mc_sizes ?ci_width:options.mc_ci_width
       ?tols:options.tols ?trace c query
   in
   let a =
@@ -376,10 +371,11 @@ and cross_check ~options ~trace ~vocab ~kb query answer =
     the query service's [stats] reply reports. [?compiled] is an
     artifact to reuse; without a matching one, the KB is compiled for
     this call. *)
-let degree_of_belief ?options ?compiled ?trace ~kb query =
-  let t0 = Instr.now () in
-  let answer = infer ?options ?compiled ?trace ~kb query in
-  Instr.record ~engine:answer.Answer.engine ~seconds:(Instr.now () -. t0);
+let degree_of_belief ?options ?pool ?compiled ?trace ~kb query =
+  let t0 = Rw_prelude.Clock.now () in
+  let answer = infer ?options ?pool ?compiled ?trace ~kb query in
+  Instr.record ~engine:answer.Answer.engine
+    ~seconds:(Rw_prelude.Clock.now () -. t0);
   answer
 
 (* ------------------------------------------------------------------ *)
@@ -430,7 +426,7 @@ let applicable ?(options = default_options) eid ~kb query =
 (* [run eid ~kb query] — one engine's raw answer, bypassing dispatch.
    Total: engines that raise on out-of-fragment input are caught and
    mapped to [Not_applicable], preserving the Answer contract. *)
-let run ?(options = default_options) ?compiled ?trace eid ~kb query =
+let run ?(options = default_options) ?pool ?compiled ?trace eid ~kb query =
   let c = artifact ~kb compiled in
   consume trace c;
   let answer =
@@ -463,7 +459,7 @@ let run ?(options = default_options) ?compiled ?trace eid ~kb query =
     | Mc -> (
       try
         Mc_engine.estimate ~seed:options.mc_seed ?samples:options.mc_samples
-          ~jobs:options.jobs ?ns:options.mc_sizes ?ci_width:options.mc_ci_width
+          ?pool ?ns:options.mc_sizes ?ci_width:options.mc_ci_width
           ?tols:options.tols ?trace c query
       with Invalid_argument why ->
         Answer.make ~engine:"mc" (Answer.Not_applicable why))

@@ -27,11 +27,6 @@ type options = {
   mc_sizes : int list option;  (** domain sizes for the Monte-Carlo engine *)
   mc_cross_check : bool;
       (** statistically cross-check exact enum points by sampling *)
-  jobs : int;
-      (** domain-pool width for the Monte-Carlo sampler (default 1).
-          Answers are jobs-invariant by construction — per-chunk
-          stream splitting, see {!Mc_engine.estimate} — so this knob
-          never enters the service's cache fingerprint. *)
 }
 
 val default_options : options
@@ -47,6 +42,7 @@ val independence_split :
 
 val infer :
   ?options:options ->
+  ?pool:Rw_pool.Pool.t ->
   ?compiled:Rw_compile.Compiled_kb.t ->
   ?trace:Rw_trace.Trace.t ->
   kb:Syntax.formula ->
@@ -56,6 +52,9 @@ val infer :
     engine consulted, the refinement and independence-split decisions,
     and a final "engine-selected" fact naming the engine whose answer
     is returned ({!Rw_trace.Trace.selected_engine} reads it back).
+
+    [?pool] is the borrowed pool Monte-Carlo sampling fans out on
+    (sequential without one); answers are the same either way.
 
     Every engine reads the KB through one {!Rw_compile.Compiled_kb.t}:
     [?compiled] when it structurally matches [kb] (a session's shared
@@ -68,13 +67,14 @@ val infer :
 
 val degree_of_belief :
   ?options:options ->
+  ?pool:Rw_pool.Pool.t ->
   ?compiled:Rw_compile.Compiled_kb.t ->
   ?trace:Rw_trace.Trace.t ->
   kb:Syntax.formula ->
   Syntax.formula ->
   Answer.t
 (** The headline API: [Pr_∞(query | kb)] by the best applicable
-    engine, credited to that engine in {!Instr}. [?trace] and
+    engine, credited to that engine in {!Instr}. [?pool], [?trace] and
     [?compiled] as in {!infer}; tracing off (the default) costs
     nothing on the hot path. *)
 
@@ -101,6 +101,7 @@ val applicable :
 
 val run :
   ?options:options ->
+  ?pool:Rw_pool.Pool.t ->
   ?compiled:Rw_compile.Compiled_kb.t ->
   ?trace:Rw_trace.Trace.t ->
   id ->
@@ -112,4 +113,4 @@ val run :
     [Rw_model.Enum.Too_many_worlds], [Invalid_argument]) are mapped to
     [Answer.Not_applicable]. [?trace] records the engine's own facts
     plus an "engine-selected" fact marking the forced choice.
-    [?compiled] as in {!infer}. *)
+    [?pool] and [?compiled] as in {!infer}. *)

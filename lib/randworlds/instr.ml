@@ -26,8 +26,6 @@ let shard_key : shard Domain.DLS.key =
       Mutex.protect registry_m (fun () -> registry := s :: !registry);
       s)
 
-let now () = Unix.gettimeofday ()
-
 let record ~engine ~seconds =
   let s = Domain.DLS.get shard_key in
   Mutex.protect s.m (fun () ->

@@ -17,9 +17,6 @@ type entry = {
   seconds : float;  (** total wall-clock spent in those dispatches *)
 }
 
-val now : unit -> float
-(** Wall-clock seconds ([Unix.gettimeofday]) — shared so every layer
-    times with the same clock. *)
 
 val record : engine:string -> seconds:float -> unit
 (** Credit one dispatch to [engine]. Called by

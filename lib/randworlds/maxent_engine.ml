@@ -189,11 +189,6 @@ let split_query query =
       | _ -> (c :: consts, stats))
     ([], []) conjuncts
 
-(* Flatten a top-level disjunction of knowledge bases. *)
-let rec flatten_or = function
-  | Or (a, b) -> flatten_or a @ flatten_or b
-  | f -> [ f ]
-
 (** [belief_at compiled ~query tol] — the degree of belief at one fixed
     tolerance vector. [None] when conditioning is impossible at this
     tolerance.
@@ -211,15 +206,16 @@ let rec flatten_or = function
     query leave the unary fragment.
     @raise Solver.Infeasible when the KB is inconsistent at [tol]. *)
 let rec belief_at compiled ~query tol =
-  match flatten_or (Compiled_kb.kb compiled) with
-  | [] | [ _ ] -> belief_at_conjunctive compiled ~query tol
+  match Compiled_kb.disjuncts compiled with
+  | [] -> belief_at_conjunctive compiled ~query tol
   | disjuncts -> begin
-    (* Each disjunct is a KB of its own, compiled like any other; its
-       artifact's memo serves both the entropy and the belief solve. *)
+    (* Each disjunct is a KB of its own, compiled once and held by the
+       parent artifact; its memo serves both the entropy and the belief
+       solve. *)
     let evaluated =
       List.filter_map
-        (fun d ->
-          let c = Compiled_kb.compile d in
+        (fun c ->
+          let d = Compiled_kb.kb c in
           match
             let parts =
               Analysis.analyze ~extra_preds:(Unary_engine.unary_preds_of query) d
@@ -298,18 +294,33 @@ and belief_at_conjunctive compiled ~query tol =
   end
 
 (* The entropy-maximum profile, for the trace only: entropy, constraint
-   count, and per-atom mass at the first tolerance that solved. Runs
+   count, and per-atom mass at the first tolerance that solved — of the
+   dominant (first largest-entropy) disjunct for a disjunctive KB. Runs
    exclusively when tracing is on; any failure is silently dropped —
    emission must never change the engine's verdict — except a budget
    expiry, which must reach the service to degrade the request. *)
 let emit_profile tr compiled ~query tol =
-  match
+  let solved c =
     let parts =
       Analysis.analyze
         ~extra_preds:(Unary_engine.unary_preds_of query)
-        (Compiled_kb.kb compiled)
+        (Compiled_kb.kb c)
     in
-    let sol = Compiled_kb.solve compiled parts tol in
+    (parts, Compiled_kb.solve c parts tol)
+  in
+  let dominant best c =
+    match (solved c, best) with
+    | (_, s), Some (_, b) when s.Solver.entropy <= b.Solver.entropy -> best
+    | p, _ -> Some p
+    | exception (Rw_pool.Budget.Expired as e) -> raise e
+    | exception _ -> best
+  in
+  match
+    let parts, sol =
+      match Compiled_kb.disjuncts compiled with
+      | [] -> solved compiled
+      | ds -> Option.get (List.fold_left dominant None ds)
+    in
     let u = parts.Analysis.universe in
     let n_constraints = List.length (Constraints.of_parts parts tol) in
     let atom_fields =

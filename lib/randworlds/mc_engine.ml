@@ -46,7 +46,7 @@ let note_of ~tol ~outcome =
     rescue). The answer is the confidence interval at the smallest
     tolerance that produced an estimate; the evidence for every grid
     point attempted, including starved ones, is in the notes. *)
-let estimate ?(seed = default_seed) ?samples ?ci_width ?(jobs = 1)
+let estimate ?(seed = default_seed) ?samples ?ci_width ?pool
     ?(ns = [ 8; 16; 32 ]) ?tols ?trace compiled query =
   Rw_trace.Trace.span trace "mc" @@ fun () ->
   let tols =
@@ -91,9 +91,7 @@ let estimate ?(seed = default_seed) ?samples ?ci_width ?(jobs = 1)
        pure mechanism. Under a parallel batch this engine is already
        inside a pool task; nested fan-out is refused, so run the grid
        sequentially there. *)
-    if jobs > 1 && not (Rw_pool.Pool.on_worker ()) then
-      Rw_pool.Pool.run ~jobs (fun p -> grid (Some p))
-    else grid None
+    grid (if Rw_pool.Pool.on_worker () then None else pool)
   in
   let outcomes = List.concat outcomes in
   (* Trace facts are emitted here, after the (deterministic, chunk-order)

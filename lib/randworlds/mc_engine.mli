@@ -32,7 +32,7 @@ val estimate :
   ?seed:int ->
   ?samples:int ->
   ?ci_width:float ->
-  ?jobs:int ->
+  ?pool:Rw_pool.Pool.t ->
   ?ns:int list ->
   ?tols:Tolerance.t list ->
   ?trace:Rw_trace.Trace.t ->
@@ -43,12 +43,12 @@ val estimate :
     largest domain size along a shrinking tolerance schedule. The
     result is the confidence interval at the smallest tolerance that
     produced an estimate ([Within]); when every tolerance starves, a
-    widened [[0,1]] interval with an explanatory note. Deterministic
-    in [seed] at any [?jobs] (default 1): the per-chunk stream
-    splitting makes the job count pure mechanism, so [--seed 42] gives
-    bit-identical answers at any [--jobs]. Called from inside a pool
-    task (a parallel batch), it ignores [?jobs] and samples
-    sequentially rather than nesting fan-outs. [?trace] records one
+    widened [[0,1]] interval with an explanatory note. Sampling fans
+    out on [?pool] when given. Deterministic in [seed] at any width: the
+    per-chunk stream splitting makes the width pure mechanism, so
+    [--seed 42] gives bit-identical answers at any [--jobs]. Called
+    from inside a pool task (a parallel batch), it ignores [?pool] and
+    samples sequentially rather than nesting fan-outs. [?trace] records one
     "mc-point" fact per grid attempt (sample counts, KB hits, per-point
     seed, CI — but no wall-clock, so traces too are jobs-invariant and
     seed-deterministic) and the final interval verdict. The world

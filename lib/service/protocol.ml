@@ -13,7 +13,6 @@ type request =
       id : Json.t option;
       srcs : string list;
       budget : float option;
-      jobs : int option;
     }
   | Load_kb of { id : Json.t option; path : string option; text : string option }
   | Session_update of {
@@ -51,9 +50,8 @@ let request_of_json json =
     match Option.bind (Json.member "queries" json) Json.to_list with
     | Some items -> (
       let srcs = List.filter_map Json.to_str items in
-      let jobs = Option.bind (Json.member "jobs" json) Json.to_int in
       if List.length srcs = List.length items then
-        Ok (Batch { id; srcs; budget; jobs })
+        Ok (Batch { id; srcs; budget })
       else Error "\"queries\" must be a list of strings")
     | None -> Error "\"batch\" op needs a \"queries\" list")
   | Some "load_kb" -> (

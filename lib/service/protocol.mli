@@ -9,8 +9,8 @@
   {"op":"load_kb","path":"examples/kb/hepatitis.kb"}   load from disk
   {"op":"load_kb","kb":"Jaun(Eric) /\\ ..."}           inline KB text
   {"op":"query","query":"Hep(Eric)","budget":0.5}      one query
-  {"op":"batch","queries":["Hep(Eric)","~Hep(Eric)"],
-   "jobs":4}                              many queries, domain pool
+  {"op":"batch","queries":["Hep(Eric)","~Hep(Eric)"]}
+                                          many queries, domain pool
   {"op":"session_update","action":"assert",
    "src":"Jaun(Dana)"}                    belief change, delta-aware
   {"op":"session_update","action":"retract","src":"Jaun(Dana)"}
@@ -39,8 +39,9 @@ type request =
       id : Json.t option;
       srcs : string list;
       budget : float option;
-      jobs : int option;  (** domain-pool width for this batch *)
     }
+      (** fans out on the server's one pool ([rw serve --jobs]); a
+          wire ["jobs"] field is ignored *)
   | Load_kb of { id : Json.t option; path : string option; text : string option }
   | Session_update of {
       id : Json.t option;

@@ -1,7 +1,5 @@
 (** The serve loop — see the interface. *)
 
-open Randworlds
-
 let src = Logs.Src.create "rw.serve" ~doc:"rw serve request log"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -70,12 +68,12 @@ let batch_reply ?id srcs results ms =
          ("elapsed_ms", Json.Float ms);
        ])
 
-let handle_request ?jobs:default_jobs service req =
+let handle_request service req =
   let id = Protocol.request_id req in
   let timed f =
-    let t0 = Instr.now () in
+    let t0 = Rw_prelude.Clock.now () in
     let r = f () in
-    (r, (Instr.now () -. t0) *. 1000.0)
+    (r, (Rw_prelude.Clock.now () -. t0) *. 1000.0)
   in
   match req with
   | Protocol.Query { src = qsrc; budget; explain; _ } -> begin
@@ -102,13 +100,8 @@ let handle_request ?jobs:default_jobs service req =
       Log.warn (fun m -> m "query error: %s" msg);
       `Reply (Protocol.error_reply ?id msg)
   end
-  | Protocol.Batch { srcs; budget; jobs; _ } ->
-    (* A request-level "jobs" wins; otherwise the serve-level pool
-       width (rw serve --jobs) routes the batch across domains. *)
-    let jobs = match jobs with Some _ as j -> j | None -> default_jobs in
-    let results, ms =
-      timed (fun () -> Service.batch_srcs ?budget ?jobs service srcs)
-    in
+  | Protocol.Batch { srcs; budget; _ } ->
+    let results, ms = timed (fun () -> Service.batch_srcs ?budget service srcs) in
     batch_reply ?id srcs results ms
   | Protocol.Load_kb { path; text; _ } -> begin
     let result =
@@ -182,7 +175,7 @@ let handle_request ?jobs:default_jobs service req =
     Log.info (fun m -> m "shutdown");
     `Quit (Protocol.ok_reply ?id [ ("bye", Json.Bool true) ])
 
-let handle_line ?jobs service line =
+let handle_line service line =
   match Json.of_string line with
   | Error msg ->
     Log.warn (fun m -> m "malformed request: %s" msg);
@@ -192,7 +185,7 @@ let handle_line ?jobs service line =
     | Error msg ->
       Log.warn (fun m -> m "bad request: %s" msg);
       `Reply (Protocol.error_reply ?id:(Json.member "id" json) msg)
-    | Ok req -> handle_request ?jobs service req)
+    | Ok req -> handle_request service req)
 
 (* ------------------------------------------------------------------ *)
 (* The socket listener                                                *)
@@ -223,7 +216,6 @@ type listener = {
   pool : Rw_pool.Pool.t;
   max_clients : int;
   idle_timeout : float option;
-  jobs : int;
   closing : bool Atomic.t;
       (** set by a [shutdown] request or SIGTERM; polled by the accept
           loop and every connection loop between requests *)
@@ -293,7 +285,7 @@ let server_json st =
         match st.idle_timeout with
         | Some t -> Json.Float t
         | None -> Json.Null );
-      ("jobs", Json.Int st.jobs);
+      ("jobs", Json.Int (Rw_pool.Pool.jobs st.pool));
     ]
   in
   Mutex.unlock st.lm;
@@ -305,8 +297,8 @@ let server_json st =
    MUST run on a worker domain, never on the connection thread; the
    request's budget is installed there and polled by the engines
    exactly as on the stdio path. Batch items fan out as independent
-   futures on the shared pool ([Service.batch_srcs] would try to build a
-   nested pool from inside a worker task); stats/persist/shutdown are
+   futures on the shared pool ([Service.batch_srcs] would run items on
+   the connection thread); stats/persist/shutdown are
    mutex-guarded and cheap, so they answer from the connection thread
    directly. *)
 let listen_dispatch st req =
@@ -317,20 +309,21 @@ let listen_dispatch st req =
         Rw_pool.Pool.await
           (Rw_pool.Pool.async st.pool (fun () ->
                handle_request st.service req)))
-  | Protocol.Batch { id; srcs; budget; jobs = _ } ->
+  | Protocol.Batch { id; srcs; budget } ->
     read_locked st (fun () ->
-        let t0 = Instr.now () in
+        let t0 = Rw_prelude.Clock.now () in
         let futures =
           List.map
             (fun qsrc ->
               Rw_pool.Pool.async st.pool (fun () ->
-                  let t0 = Instr.now () in
+                  let t0 = Rw_prelude.Clock.now () in
                   let r = Service.query_src ?budget st.service qsrc in
-                  (r, (Instr.now () -. t0) *. 1000.0)))
+                  (r, (Rw_prelude.Clock.now () -. t0) *. 1000.0)))
             srcs
         in
         let results = List.map Rw_pool.Pool.await futures in
-        batch_reply ?id srcs results ((Instr.now () -. t0) *. 1000.0))
+        let ms = (Rw_prelude.Clock.now () -. t0) *. 1000.0 in
+        batch_reply ?id srcs results ms)
   | Protocol.Load_kb _ | Protocol.Session_update _ ->
     (* Both mutate the KB slot and walk the caches: exclusive access,
        like any writer. The revalidation walk's rules rechecks are
@@ -505,8 +498,12 @@ let bind_addr addr =
     Unix.bind sock sa;
     sock
 
-let listen ?(jobs = 1) ?(max_clients = 64) ?idle_timeout ~addr service =
+let listen ?(max_clients = 64) ?idle_timeout ~addr service =
   if max_clients < 1 then invalid_arg "Server.listen: max_clients must be >= 1";
+  let pool =
+    try Option.get (Service.pool service)
+    with Invalid_argument _ -> invalid_arg "Server.listen: no pool"
+  in
   (* A mid-write disconnect must be an EPIPE to handle, not a fatal
      signal; and concurrent connection threads share one Logs
      reporter, which is not reentrant. *)
@@ -517,16 +514,12 @@ let listen ?(jobs = 1) ?(max_clients = 64) ?idle_timeout ~addr service =
     ~unlock:(fun () -> Mutex.unlock log_m);
   let sock = bind_addr addr in
   Unix.listen sock 64;
-  (* jobs + 1: connection threads submit futures but never execute
-     tasks, so --jobs N needs N spawned worker domains beyond the
-     never-participating coordinator. *)
   let st =
     {
       service;
-      pool = Rw_pool.Pool.create ~jobs:(jobs + 1);
+      pool;
       max_clients;
       idle_timeout;
-      jobs;
       closing = Atomic.make false;
       lm = Mutex.create ();
       drained = Condition.create ();
@@ -551,7 +544,8 @@ let listen ?(jobs = 1) ?(max_clients = 64) ?idle_timeout ~addr service =
     with Invalid_argument _ | Sys_error _ -> None
   in
   Log.info (fun m ->
-      m "listening on %a (jobs=%d, max_clients=%d%s)" pp_addr addr jobs
+      m "listening on %a (jobs=%d, max_clients=%d%s)" pp_addr addr
+        (Rw_pool.Pool.jobs pool)
         max_clients
         (match idle_timeout with
         | Some t -> Fmt.str ", idle_timeout=%gs" t
@@ -599,7 +593,6 @@ let listen ?(jobs = 1) ?(max_clients = 64) ?idle_timeout ~addr service =
   (match Service.store service with
   | Some store -> ( try Rw_store.Store.sync store with Sys_error _ -> ())
   | None -> ());
-  Rw_pool.Pool.shutdown st.pool;
   (match prev_term with
   | Some h -> ( try Sys.set_signal Sys.sigterm h with Invalid_argument _ -> ())
   | None -> ());
@@ -608,7 +601,7 @@ let listen ?(jobs = 1) ?(max_clients = 64) ?idle_timeout ~addr service =
         st.conn_requests st.total);
   0
 
-let run ?(ic = stdin) ?(oc = stdout) ?jobs service =
+let run ?(ic = stdin) ?(oc = stdout) service =
   let emit reply =
     output_string oc (Json.to_string reply);
     output_char oc '\n';
@@ -621,7 +614,7 @@ let run ?(ic = stdin) ?(oc = stdout) ?jobs service =
       0
     | line when String.trim line = "" -> loop ()
     | line -> (
-      match handle_line ?jobs service line with
+      match handle_line service line with
       | `Reply reply ->
         emit reply;
         loop ()

@@ -9,13 +9,12 @@
 val src : Logs.src
 (** The [rw.serve] log source. *)
 
-val handle_line :
-  ?jobs:int -> Service.t -> string -> [ `Reply of Json.t | `Quit of Json.t ]
+val handle_line : Service.t -> string -> [ `Reply of Json.t | `Quit of Json.t ]
 (** Process one request line: parse, dispatch, build the reply.
     Malformed JSON or an unknown op yields an [ok:false] [`Reply];
-    only a well-formed [shutdown] yields [`Quit]. [?jobs] is the
-    serve-level default pool width for [batch] requests that do not
-    carry their own ["jobs"] field. Exposed for tests. *)
+    only a well-formed [shutdown] yields [`Quit]. [batch] requests fan
+    out on the service's pool ({!Service.batch_srcs}). Exposed for
+    tests. *)
 
 val frame :
   Buffer.t ->
@@ -31,23 +30,22 @@ val frame :
     scanned, so framing is linear in the bytes read, however many
     reads a line spans. Exposed for tests. *)
 
-val run : ?ic:in_channel -> ?oc:out_channel -> ?jobs:int -> Service.t -> int
+val run : ?ic:in_channel -> ?oc:out_channel -> Service.t -> int
 (** Read requests from [ic] (default stdin) until [shutdown] or EOF,
     writing one reply line per request to [oc] (default stdout,
-    flushed per reply). [?jobs] as in {!handle_line} ([rw serve
-    --jobs]). Returns the process exit code (0 on clean shutdown or
-    EOF). *)
+    flushed per reply), each through {!handle_line}. Returns the
+    process exit code (0 on clean shutdown or EOF). *)
 
 (** {2 The socket listener}
 
     [rw serve --listen] speaks the same NDJSON protocol to many
     concurrent clients over one shared {!Service.t}: one sys-thread
     per connection for framing and I/O, with every engine dispatch
-    submitted to a shared {!Rw_pool.Pool} of worker domains via
-    {!Rw_pool.Pool.async} — single-query requests route across the
-    pool exactly like batch items, and request budgets are the same
-    polled deadlines as on the stdio path, so a request degrades the
-    same way in either mode.
+    submitted via {!Rw_pool.Pool.async} to the service's borrowed pool
+    ({!Service.pool}) — single-query requests route across the pool
+    exactly like batch items, and request budgets are the same polled
+    deadlines as on the stdio path, so a request degrades the same way
+    in either mode.
     Clients are isolated: a parse error is that client's [ok:false]
     reply, a disconnect closes that socket, and a line truncated by a
     mid-stream hangup still gets the documented error object before
@@ -57,7 +55,7 @@ val run : ?ic:in_channel -> ?oc:out_channel -> ?jobs:int -> Service.t -> int
     Shutdown — a [shutdown] request from any client, or SIGTERM —
     stops the acceptor, lets every connection finish and flush its
     in-flight request (new requests on open connections are not read),
-    syncs the durable store when one is attached, and joins the pool.
+    and syncs the durable store when one is attached.
     Per-server counters (active/total/rejected/idle-closed/truncated
     connections, requests served) ride in the [stats] reply under
     ["server"]. *)
@@ -76,15 +74,15 @@ val sockaddr : addr -> Unix.sockaddr
     failure). Shared by {!listen} and the [rw client] connector. *)
 
 val listen :
-  ?jobs:int ->
   ?max_clients:int ->
   ?idle_timeout:float ->
   addr:addr ->
   Service.t ->
   int
 (** Bind [addr] (a stale Unix socket path is unlinked; TCP sets
-    [SO_REUSEADDR]) and serve until shutdown. [?jobs] (default 1) is
-    the number of worker domains answering requests; [?max_clients]
+    [SO_REUSEADDR]) and serve until shutdown. Requests run on the
+    service's pool; raises [Invalid_argument] if it has none.
+    [?max_clients]
     (default 64) bounds concurrent connections — excess connects get
     an [ok:false] reply and an immediate close; [?idle_timeout]
     closes connections silent for that many seconds. Returns the

@@ -162,6 +162,7 @@ type t = {
   store : Rw_store.Store.t option;
       (** the durable tier under the LRU; appends serialized inside
           the store, probes near-lock-free — safe from pool workers *)
+  pool : Rw_pool.Pool.t option;  (** borrowed, like [store] *)
   opts_digest : string;
   mutable kb : Syntax.formula option;
   mutable kb_digest : string;
@@ -207,9 +208,9 @@ let tolerance_fingerprint (tol : Tolerance.t) =
     (pairs tol.Tolerance.weights)
     (pairs tol.Tolerance.powers)
 
-(* [o.jobs] is deliberately absent: the Monte-Carlo chunk seeding makes
-   answers jobs-invariant, so services differing only in pool width
-   answer from interchangeable cache entries. *)
+(* The pool width is deliberately not an option: the Monte-Carlo chunk
+   seeding makes answers width-invariant, so services borrowing pools
+   of different widths answer from interchangeable cache entries. *)
 let options_fingerprint (o : Engine.options) =
   let ints = function
     | None -> "-"
@@ -228,7 +229,7 @@ let options_fingerprint (o : Engine.options) =
   in
   Digest.to_hex (Digest.string s)
 
-let create ?(config = default_config) ?store () =
+let create ?(config = default_config) ?store ?pool () =
   {
     config;
     cache = Lru.Sync.create ~capacity:config.cache_capacity;
@@ -237,6 +238,7 @@ let create ?(config = default_config) ?store () =
     compile_ms_total = 0.0;
     compiles = Atomic.make 0;
     store;
+    pool;
     opts_digest = options_fingerprint config.engine_options;
     kb = None;
     kb_digest = "";
@@ -260,6 +262,7 @@ let create ?(config = default_config) ?store () =
 
 let config t = t.config
 let store t = t.store
+let pool t = t.pool
 
 (* ------------------------------------------------------------------ *)
 (* KB lifecycle                                                       *)
@@ -285,7 +288,7 @@ let log_event t ev =
    keeps everything — the entries are still valid. *)
 let load_kb t kb =
   Mutex.protect t.session_m @@ fun () ->
-  let t0 = Instr.now () in
+  let t0 = Rw_prelude.Clock.now () in
   let before = t.kb_digest in
   let digest = Canonical.digest kb in
   let reclaimed =
@@ -318,7 +321,7 @@ let load_kb t kb =
       evicted = reclaimed;
       artifact =
         (if before <> "" && before <> digest then "dropped" else "unchanged");
-      elapsed_ms = (Instr.now () -. t0) *. 1000.0;
+      elapsed_ms = (Rw_prelude.Clock.now () -. t0) *. 1000.0;
     }
 
 let load_kb_string t src =
@@ -492,7 +495,7 @@ let update ?src t action f =
   match t.kb with
   | None -> Error "no knowledge base loaded"
   | Some _ -> (
-    let t0 = Instr.now () in
+    let t0 = Rw_prelude.Clock.now () in
     let src = match src with Some s -> s | None -> Pretty.to_string f in
     let before = t.kb_digest in
     let action_s = match action with Assert -> "assert" | Retract -> "retract" in
@@ -524,7 +527,7 @@ let update ?src t action f =
       t.revalidated_total <- t.revalidated_total + revalidated;
       t.update_evicted_total <- t.update_evicted_total + evicted;
       t.seq <- t.seq + 1;
-      let elapsed_ms = (Instr.now () -. t0) *. 1000.0 in
+      let elapsed_ms = (Rw_prelude.Clock.now () -. t0) *. 1000.0 in
       log_event t
         {
           seq = t.seq;
@@ -634,8 +637,8 @@ let session_log t = Mutex.protect t.session_m (fun () -> List.rev t.session_log_
    its memo cell empty; cells that finished stay filled. *)
 let run_engine ?trace ?budget t compiled ~kb q =
   let run () =
-    Engine.degree_of_belief ~options:t.config.engine_options ~compiled ?trace
-      ~kb q
+    Engine.degree_of_belief ~options:t.config.engine_options ?pool:t.pool
+      ~compiled ?trace ~kb q
   in
   match budget with
   | None -> Some (run ())
@@ -676,7 +679,7 @@ let ladder ?budget ?trace t q =
     let budget =
       match budget with Some _ as b -> b | None -> t.config.budget
     in
-    let t0 = Instr.now () in
+    let t0 = Rw_prelude.Clock.now () in
     Atomic.incr t.queries;
     let key = cache_key t q in
     (* [provenance] is that of the entry a retrace upgrades: it is
@@ -746,7 +749,7 @@ let ladder ?budget ?trace t q =
       | exception Rw_prelude.Hook.Injected point ->
         Error (Printf.sprintf "KB compilation failed (%s)" point)
     in
-    latency_record t.latency ((Instr.now () -. t0) *. 1000.0);
+    latency_record t.latency ((Rw_prelude.Clock.now () -. t0) *. 1000.0);
     result
 
 let query ?budget t q = ladder ?budget t q
@@ -765,38 +768,29 @@ let query_src ?budget t src = Result.bind (parse_query src) (query ?budget t)
 let query_src_explained ?budget t src =
   Result.bind (parse_query src) (query_explained ?budget t)
 
-(* Fanning a batch out to a domain pool costs domain spawns plus GC
-   contention before the first item runs — on small batches of cheap
-   (rules/maxent-weight) queries that overhead exceeds the whole
-   sequential run (bench Table 13's jobs-4 cold-dispatch row). Below
-   [parallel_threshold] items the pool cannot win, so the batch runs
-   sequentially regardless of [?jobs]. *)
-let batch_jobs t ~jobs n = if n < t.config.parallel_threshold then 1 else jobs
-
-let batch ?budget ?(jobs = 1) t qs =
-  let one q = query ?budget t q in
-  let jobs = batch_jobs t ~jobs (List.length qs) in
-  if jobs <= 1 then List.map one qs
-  else begin
-    (* Injection point for a failed pool spin-up: fires before any
-       item has touched the service, so a failed fan-out answers
+(* A batch fans out on the borrowed pool, in input order. Below
+   [parallel_threshold] items it runs sequentially on the caller: on a
+   few cheap (rules/maxent-weight) queries the hand-off and GC
+   contention cost more than the whole sequential run. *)
+let fan_out t one xs =
+  match t.pool with
+  | Some p when List.length xs >= t.config.parallel_threshold ->
+    (* Injection point for a failed fan-out submission: fires before
+       any item has touched the service, so a failed fan-out answers
        nothing and mutates nothing. *)
     Rw_prelude.Hook.fire "pool.submit";
-    Rw_pool.Pool.run ~jobs (fun p -> Rw_pool.Pool.map p one qs)
-  end
+    Rw_pool.Pool.map p one xs
+  | _ -> List.map one xs
 
-let batch_srcs ?budget ?(jobs = 1) t srcs =
-  let one src =
-    let t0 = Instr.now () in
-    let r = query_src ?budget t src in
-    (r, (Instr.now () -. t0) *. 1000.0)
-  in
-  let jobs = batch_jobs t ~jobs (List.length srcs) in
-  if jobs <= 1 then List.map one srcs
-  else begin
-    Rw_prelude.Hook.fire "pool.submit";
-    Rw_pool.Pool.run ~jobs (fun p -> Rw_pool.Pool.map p one srcs)
-  end
+let batch ?budget t qs = fan_out t (query ?budget t) qs
+
+let batch_srcs ?budget t srcs =
+  fan_out t
+    (fun src ->
+      let t0 = Rw_prelude.Clock.now () in
+      let r = query_src ?budget t src in
+      (r, (Rw_prelude.Clock.now () -. t0) *. 1000.0))
+    srcs
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                      *)

@@ -45,10 +45,10 @@
     {!Stored}; degraded answers are never persisted, exactly as they
     are never cached. Because the store key includes the options
     digest, services with different engine knobs never share records;
-    because it excludes [jobs], records are shared across pool widths.
-    Store appends are serialized inside {!Rw_store.Store}; probes take
-    only nanosecond-scale index locks — a parallel {!batch}
-    write-through is safe at any [jobs].
+    because it excludes the pool width, records are shared across
+    widths. Store appends are serialized inside {!Rw_store.Store};
+    probes take only nanosecond-scale index locks — a parallel
+    {!batch} write-through is safe at any width.
 
     {b The compiled-KB tier.} Orthogonal to the answer caches: a
     bounded LRU of {!Rw_compile.Compiled_kb.t} artifacts keyed by
@@ -99,10 +99,8 @@ type config = {
       (** compiled-KB artifacts kept resident (one per KB digest);
           [0] keeps none — every dispatch compiles afresh *)
   parallel_threshold : int;
-      (** batches shorter than this run sequentially even when the
-          caller asks for [jobs > 1]: pool spin-up and GC contention
-          exceed the whole sequential run on small batches (bench
-          Table 13's jobs-4 cold-dispatch row) *)
+      (** batches shorter than this run sequentially even on a
+          service with a pool: the hand-off costs more than the work *)
   budget : float option;  (** default per-request seconds; [None] = unlimited *)
   engine_options : Engine.options;  (** fixed per service instance *)
 }
@@ -121,14 +119,18 @@ type origin =
   | Stored  (** served from the durable store, now promoted to the LRU *)
   | Degraded  (** budget expired: rules-engine sound interval *)
 
-val create : ?config:config -> ?store:Rw_store.Store.t -> unit -> t
+val create :
+  ?config:config -> ?store:Rw_store.Store.t -> ?pool:Rw_pool.Pool.t -> unit -> t
 (** [?store] attaches the durable answer tier (see the module
-    docstring). The service borrows the store — callers own closing
-    it. *)
+    docstring); [?pool] is the domain pool batches and Monte-Carlo
+    sampling fan out on (without one they run on the caller). The
+    service borrows both — callers own closing and shutting them. *)
 
 val config : t -> config
 
 val store : t -> Rw_store.Store.t option
+
+val pool : t -> Rw_pool.Pool.t option
 
 (** {2 KB lifecycle} *)
 
@@ -263,22 +265,19 @@ val query_src_explained :
 
 val batch :
   ?budget:float ->
-  ?jobs:int ->
   t ->
   Syntax.formula list ->
   (Answer.t * origin, string) result list
 (** The batch evaluator: every query runs against the same resident
     KB, sharing its digest, validation, and the cache — the KB is
-    loaded and keyed once for the whole batch. [?jobs] (default 1)
-    evaluates items on a domain pool of that width; results stay in
-    input order, and each item's budget is enforced by deadline
-    polling on whichever domain runs it. Batches shorter than
-    [config.parallel_threshold] run sequentially regardless of
-    [?jobs] — see the config field. *)
+    loaded and keyed once for the whole batch. Items fan out on the
+    service's pool, if it has one; results stay in input order, and
+    each item's budget is enforced by deadline polling on whichever
+    domain runs it. Batches shorter than [config.parallel_threshold]
+    run sequentially — see the config field. *)
 
 val batch_srcs :
   ?budget:float ->
-  ?jobs:int ->
   t ->
   string list ->
   ((Answer.t * origin, string) result * float) list

@@ -6,7 +6,7 @@ let catalog =
     ("store.append.torn", "store append writes a partial record, then fails");
     ("store.sync", "store fsync fails");
     ("compile.kb", "KB compilation fails; the query fails with an error reply");
-    ("pool.submit", "parallel batch fan-out fails before any item runs");
+    ("pool.submit", "fan-out submission fails before any batch item runs");
   ]
 
 let points = List.map fst catalog

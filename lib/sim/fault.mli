@@ -23,7 +23,7 @@
       interval a budget expiry degrades to, so that query fails with
       an error reply; nothing is cached or persisted, and the next
       query against the KB compiles afresh.
-    - [{"pool.submit"}] — the parallel batch fan-out fails before any
+    - [{"pool.submit"}] — fan-out submission fails before any batch
       item runs; the batch call raises and answers nothing.
 
     Discipline: the simulator arms at most one point per step (drawn

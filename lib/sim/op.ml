@@ -15,7 +15,6 @@ type t =
   | Evict
   | Persist
   | Compact
-  | Jobs of int
   | Fault of string
   | Restart
 
@@ -40,7 +39,6 @@ let render = function
   | Evict -> "evict"
   | Persist -> "persist"
   | Compact -> "compact"
-  | Jobs n -> "jobs " ^ string_of_int n
   | Fault p -> "fault " ^ p
   | Restart -> "restart"
 
@@ -90,10 +88,6 @@ let parse line =
   | "evict" -> Ok Evict
   | "persist" -> Ok Persist
   | "compact" -> Ok Compact
-  | "jobs" -> (
-    match int_of_string_opt rest with
-    | Some n when n >= 1 -> Ok (Jobs n)
-    | _ -> Error (Printf.sprintf "bad jobs width %S" rest))
   | "fault" ->
     if List.mem rest Fault.points then Ok (Fault rest)
     else Error (Printf.sprintf "unknown fault point %S" rest)
@@ -136,10 +130,9 @@ let fault_sequence g ~frng ~kbrng ~qrng =
       Query (q ());
     ]
   | _ ->
-    (* pool.submit: only a wide-enough batch at jobs > 1 fans out. *)
-    let width = if Prng.bool frng then 2 else 4 in
+    (* pool.submit: only a batch of >= 4 items (the sim's threshold) fans out. *)
     let n = 4 + Prng.int frng 5 in
-    [ Jobs width; Fault "pool.submit"; Batch (List.init n (fun _ -> q ())) ]
+    [ Fault "pool.submit"; Batch (List.init n (fun _ -> q ())) ]
 
 let next g ~shadow =
   match g.pending with
@@ -171,21 +164,20 @@ let next g ~shadow =
       match Prng.int sched 100 with
       | r when r < 30 -> Query (Gen.query_of_rng qrng)
       | r when r < 40 -> Explain (Gen.query_of_rng qrng)
-      | r when r < 50 ->
+      | r when r < 55 ->
         let n = 2 + Prng.int sched 7 in
         Batch (List.init n (fun _ -> Gen.query_of_rng qrng))
-      | r when r < 60 -> Assert_ (Gen.fact_of_rng kbrng)
-      | r when r < 67 ->
+      | r when r < 65 -> Assert_ (Gen.fact_of_rng kbrng)
+      | r when r < 72 ->
         (* Mostly retract something actually resident; sometimes a
            random fact, exercising the canonical-no-op path. *)
         if shadow <> [] && Prng.int sched 4 > 0 then
           Retract (List.nth shadow (Prng.int kbrng (List.length shadow)))
         else Retract (Gen.fact_of_rng kbrng)
-      | r when r < 72 -> Expire (Gen.query_of_rng qrng)
-      | r when r < 77 -> Evict
-      | r when r < 82 -> Persist
-      | r when r < 85 -> Compact
-      | r when r < 90 -> Jobs [| 1; 2; 4 |].(Prng.int sched 3)
+      | r when r < 77 -> Expire (Gen.query_of_rng qrng)
+      | r when r < 82 -> Evict
+      | r when r < 87 -> Persist
+      | r when r < 90 -> Compact
       | r when r < 95 -> Load_kb (Gen.kb_of_rng kbrng ~max_size:g.max_size)
       | _ -> Restart
     end

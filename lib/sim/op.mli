@@ -2,8 +2,8 @@
     serialization, and parsing.
 
     One op is one step against the live system — the full service
-    surface plus the control ops ([jobs], [fault], [restart]) that
-    change how later ops execute. The serialized form is one line per
+    surface plus the control ops ([fault], [restart]) that change how
+    later ops execute. The serialized form is one line per
     op ([render]/[parse] round-trip), which is what makes a failing
     sequence a text file in [test/sim_corpus/] instead of a seed you
     have to re-run 300 steps to reach.
@@ -25,7 +25,7 @@ type t =
   | Query of Syntax.formula  (** one plain query *)
   | Explain of Syntax.formula  (** one traced query *)
   | Batch of Syntax.formula list
-      (** a batch at the current [jobs] width *)
+      (** a batch, on the run's pool from the pinned threshold up *)
   | Assert_ of Syntax.formula  (** session update: assert conjuncts *)
   | Retract of Syntax.formula  (** session update: retract conjuncts *)
   | Expire of Syntax.formula
@@ -33,7 +33,6 @@ type t =
   | Evict  (** flush both memory tiers ({!Rw_service.Service.evict_all}) *)
   | Persist  (** fsync the durable store *)
   | Compact  (** compact the durable store *)
-  | Jobs of int  (** set the batch fan-out width for later ops *)
   | Fault of string  (** arm one {!Fault} catalog point for the next op *)
   | Restart
       (** drop the service, close and re-open the store (crash

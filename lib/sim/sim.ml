@@ -30,7 +30,7 @@ let sim_options =
    capacity-eviction victims (and therefore later hit/miss origins)
    would be the one racy input to the event log. Eviction is exercised
    by the explicit [evict] op instead. [parallel_threshold] is lowered
-   so generated batches actually fan out at jobs > 1. *)
+   so generated batches actually fan out on the run's pool. *)
 let sim_config =
   {
     Service.cache_capacity = 4096;
@@ -58,6 +58,7 @@ let zero_expected =
 
 type state = {
   store_path : string;
+  pool : Rw_pool.Pool.t;  (** borrowed by every service of the run *)
   mutable store : Store.t;
   mutable svc : Service.t;
   mutable shadow : Syntax.formula list;
@@ -65,7 +66,6 @@ type state = {
      retracting the last conjunct leaves the empty conjunction (True)
      loaded, and a restart must restore it. *)
   mutable loaded : bool;
-  mutable jobs : int;
   mutable exp : Invariant.expected;
   mutable ring : (Syntax.formula * Answer.t) list;  (* newest first, ≤ 12 *)
   mutable torn_pending : bool;
@@ -159,7 +159,7 @@ let exec st viol op =
         (origin_str e.Service.origin)
         (List.length e.Service.trace))
   | Op.Batch qs -> (
-    match Service.batch ~jobs:st.jobs st.svc qs with
+    match Service.batch st.svc qs with
     | results ->
       let answered = ref 0 in
       let outs =
@@ -177,10 +177,10 @@ let exec st viol op =
       in
       st.exp <-
         { st.exp with Invariant.queries = st.exp.Invariant.queries + !answered };
-      Printf.sprintf "batch n=%d jobs=%d [%s]" (List.length qs) st.jobs
+      Printf.sprintf "batch n=%d [%s]" (List.length qs)
         (String.concat " | " outs)
     | exception Hook.Injected p ->
-      Printf.sprintf "batch n=%d jobs=%d injected=%s" (List.length qs) st.jobs p)
+      Printf.sprintf "batch n=%d injected=%s" (List.length qs) p)
   | Op.Assert_ f | Op.Retract f -> (
     let action, name =
       match op with
@@ -269,9 +269,6 @@ let exec st viol op =
     Store.compact st.store;
     viol (Invariant.check_compaction ~live_before (Store.stats st.store));
     Printf.sprintf "compact live=%d" live_before
-  | Op.Jobs n ->
-    st.jobs <- n;
-    Printf.sprintf "jobs %d" n
   | Op.Fault p ->
     Fault.arm p;
     Printf.sprintf "fault %s armed" p
@@ -295,7 +292,7 @@ let exec st viol op =
          ~truncated:rep.Store.truncated_bytes ~torn_expected:st.torn_pending);
     st.torn_pending <- false;
     st.store <- store';
-    st.svc <- Service.create ~config:sim_config ~store:store' ();
+    st.svc <- Service.create ~config:sim_config ~store:store' ~pool:st.pool ();
     st.exp <- zero_expected;
     if st.loaded then begin
       Service.load_kb st.svc (Syntax.conj st.shadow);
@@ -340,7 +337,7 @@ let exec st viol op =
 (* The driver                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let simulate ~seed ~source =
+let simulate ~pool ~seed ~source =
   let store_path, cleanup =
     match seed with
     | `Path p -> (p, fun () -> ())
@@ -359,11 +356,11 @@ let simulate ~seed ~source =
   let st =
     {
       store_path;
+      pool;
       store;
-      svc = Service.create ~config:sim_config ~store ();
+      svc = Service.create ~config:sim_config ~store ~pool ();
       shadow = [];
       loaded = false;
-      jobs = 1;
       exp = zero_expected;
       ring = [];
       torn_pending = false;
@@ -466,7 +463,10 @@ let run ?(max_size = 6) ?(faults = false) ?store_path ~seed ~steps () =
     if i >= steps then None else Some (Op.next g ~shadow:st.shadow)
   in
   let where = match store_path with Some p -> `Path p | None -> `Temp in
-  { (simulate ~seed:where ~source) with seed = Some seed }
+  (* One pool for the whole run, its width drawn from its own stream. *)
+  let jobs = if Rw_mc.Prng.bool (Rng_registry.stream registry "pool.width") then 2 else 4 in
+  Rw_pool.Pool.run ~jobs (fun pool ->
+      { (simulate ~pool ~seed:where ~source) with seed = Some seed })
 
 let replay ?store_path ops =
   let remaining = ref ops in
@@ -478,7 +478,7 @@ let replay ?store_path ops =
       Some op
   in
   let where = match store_path with Some p -> `Path p | None -> `Temp in
-  simulate ~seed:where ~source
+  Rw_pool.Pool.run ~jobs:2 (fun pool -> simulate ~pool ~seed:where ~source)
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                          *)

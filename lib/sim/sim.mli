@@ -3,7 +3,7 @@
 
     One {!run} builds a real service over a real durable store in a
     scratch file, then drives a seeded sequence of ops over the full
-    service surface — queries, batches at varying pool widths,
+    service surface — queries, batches on the run's one domain pool,
     belief-change updates, KB swaps, evictions, persists, compactions,
     budget expiries, crash-restarts — with optional fault injection at
     the {!Fault} catalog points. After {e every} step it checks the
@@ -20,8 +20,8 @@
     regression gate ({!load_case} + {!replay}).
 
     Randomness: all draws come from {!Rng_registry} streams
-    ([{"gen.kb"}], [{"gen.query"}], [{"sched"}], [{"fault"}]) so
-    component draws commute — see that module for the naming
+    ([{"gen.kb"}], [{"gen.query"}], [{"sched"}], [{"fault"}],
+    [{"pool.width"}]) so component draws commute — see that module for the naming
     convention. *)
 
 open Randworlds
@@ -55,11 +55,14 @@ val run :
 (** Generate and execute [steps] ops from [seed]. [?max_size]
     (default 6) bounds generated KB sizes; [?faults] (default false)
     enables the fault plane; [?store_path] overrides the scratch store
-    file (default: a fresh temp file, removed afterwards). *)
+    file (default: a fresh temp file, removed afterwards). The run
+    holds one pool, of a width drawn from {2, 4}; the event log does
+    not depend on it. *)
 
 val replay : ?store_path:string -> Op.t list -> report
 (** Execute a fixed op sequence (a corpus case or a shrink candidate)
-    under the same pinned configuration and invariants. *)
+    under the same pinned configuration and invariants, on one pool of
+    width 2. *)
 
 val shrink : Op.t list -> report -> Op.t list
 (** Greedy minimization: repeatedly drop ops (then single KB conjuncts

@@ -23,10 +23,10 @@ let span sink phase f =
   | None -> f ()
   | Some t ->
     add t (Enter phase);
-    let t0 = Unix.gettimeofday () in
+    let t0 = Rw_prelude.Clock.now () in
     Fun.protect
       ~finally:(fun () ->
-        add t (Leave { phase; ms = (Unix.gettimeofday () -. t0) *. 1000.0 }))
+        add t (Leave { phase; ms = (Rw_prelude.Clock.now () -. t0) *. 1000.0 }))
       f
 
 let selected_engine evs =

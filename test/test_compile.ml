@@ -227,10 +227,13 @@ let test_concurrent_compile_once () =
         "~(Fly(Tweety) /\\ Bird(Tweety))";
       ]
   in
-  let svc = Service.create () in
-  Service.load_kb svc kb_a;
-  let results = Service.batch ~jobs:4 svc queries in
-  let c = compiled_stats svc in
+  let results, c =
+    Rw_pool.Pool.run ~jobs:4 (fun pool ->
+        let svc = Service.create ~pool () in
+        Service.load_kb svc kb_a;
+        let results = Service.batch svc queries in
+        (results, compiled_stats svc))
+  in
   Alcotest.(check int) "compiled exactly once" 1 c.Service.compiles;
   (* Reference answers: same service config, no artifact resident,
      sequential. *)
@@ -294,6 +297,42 @@ let test_trace_provenance () =
     Alcotest.(check string) "second use reuses the artifact" "reused"
       (point fields)
 
+(* A disjunctive KB (the broken-arm shape of Example 5.4, with the
+   disjunction at the top): each disjunct is compiled once and held by
+   the parent artifact, so a second query against the same artifact
+   re-solves nothing. *)
+let broken_arm_or =
+  parse
+    "(||LUsable(x)||_x ~=_1 0.2 /\\ LBroken(Eric)) \\/ \
+     (||LUsable(x)||_x ~=_1 0.2 /\\ RBroken(Eric))"
+
+let test_disjuncts_compiled_once () =
+  let c = C.compile broken_arm_or in
+  let misses () =
+    List.fold_left
+      (fun n d -> n + (C.stats d).C.solve_misses)
+      0 (C.disjuncts c)
+  in
+  Alcotest.(check int) "two disjunct artifacts" 2 (List.length (C.disjuncts c));
+  Alcotest.(check bool) "held, not recompiled" true
+    (C.disjuncts c == C.disjuncts c);
+  let ask q =
+    match
+      (Engine.degree_of_belief ~compiled:c ~kb:broken_arm_or (parse q))
+        .Answer.result
+    with
+    | Answer.Point v -> v
+    | r -> Alcotest.failf "%s: %a" q Answer.pp_result r
+  in
+  Alcotest.(check (float 1e-6)) "first query" 0.2 (ask "LUsable(Eric)");
+  let first = misses () in
+  Alcotest.(check bool) "the first query solved" true (first > 0);
+  Alcotest.(check (float 1e-6)) "second query" 0.8 (ask "~LUsable(Eric)");
+  Alcotest.(check int) "no maxent solve misses on the second query" first
+    (misses ());
+  Alcotest.(check (list int)) "a conjunctive KB has no disjuncts" []
+    (List.map (fun _ -> 0) (C.disjuncts (C.compile kb_a)))
+
 let suite =
   [
     Alcotest.test_case "distinct digests" `Quick test_distinct_digests;
@@ -308,4 +347,6 @@ let suite =
     Alcotest.test_case "concurrent compile-once" `Quick
       test_concurrent_compile_once;
     Alcotest.test_case "trace provenance" `Quick test_trace_provenance;
+    Alcotest.test_case "disjuncts compiled once" `Quick
+      test_disjuncts_compiled_once;
   ]

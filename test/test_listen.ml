@@ -32,9 +32,15 @@ let fresh_sock_path =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "rw-test-%d-%d.sock" (Unix.getpid ()) !n)
 
+(* A service borrowing a fresh width-2 pool, as [rw serve --jobs 2]
+   makes one; the listener thread shuts it down when the listener
+   returns. The pool starts no domain until a request needs one. *)
+let pooled ?config ?store () =
+  Service.create ?config ?store ~pool:(Rw_pool.Pool.create ~jobs:2) ()
+
 (* The shared serve config: no budget, default caches. *)
 let make_service ?store () =
-  let svc = Service.create ?store () in
+  let svc = pooled ?store () in
   (match Service.load_kb_file svc (kb_path ()) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "load_kb: %s" msg);
@@ -45,14 +51,18 @@ type listener = {
   thread : Thread.t;  (** joins when the listener drains and returns *)
 }
 
-let start_listener ?(jobs = 2) ?(max_clients = 64) ?idle_timeout svc =
+let start_listener ?(max_clients = 64) ?idle_timeout svc =
   let path = fresh_sock_path () in
   let thread =
     Thread.create
       (fun () ->
         let code =
-          Server.listen ~jobs ~max_clients ?idle_timeout
-            ~addr:(Server.Unix_path path) svc
+          Fun.protect
+            ~finally:(fun () ->
+              Option.iter Rw_pool.Pool.shutdown (Service.pool svc))
+            (fun () ->
+              Server.listen ~max_clients ?idle_timeout
+                ~addr:(Server.Unix_path path) svc)
         in
         Alcotest.(check int) "listener exit code" 0 code)
       ()
@@ -186,7 +196,7 @@ let test_concurrent_clients () =
       queries
   in
   let svc = make_service () in
-  let l = start_listener ~jobs:2 svc in
+  let l = start_listener svc in
   let n_clients = 4 in
   let results = Array.make n_clients [] in
   let errors = Array.make n_clients None in
@@ -260,7 +270,7 @@ let test_concurrent_clients () =
    path itself under concurrency, not cache coherence. *)
 let test_concurrent_no_cache () =
   let config = { Service.default_config with Service.cache_capacity = 0 } in
-  let svc = Service.create ~config () in
+  let svc = pooled ~config () in
   (match Service.load_kb_file svc (kb_path ()) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "load_kb: %s" msg);
@@ -273,7 +283,7 @@ let test_concurrent_no_cache () =
     | `Reply reply -> comparable_answer (Json.to_string reply)
     | `Quit _ -> Alcotest.fail "unexpected quit"
   in
-  let l = start_listener ~jobs:2 svc in
+  let l = start_listener svc in
   let replies = Array.make 4 "" in
   let clients =
     List.init 4 (fun i ->
@@ -446,7 +456,7 @@ let test_shutdown_persists_store () =
    is visible from any connection. *)
 let test_session_two_clients () =
   let svc = make_service () in
-  let l = start_listener ~jobs:2 svc in
+  let l = start_listener svc in
   let a = connect l.path and b = connect l.path in
   let ok_of reply =
     match Json.of_string reply with

@@ -75,6 +75,93 @@ let test_jobs_validation () =
   Alcotest.check_raises "jobs = 0 rejected" (Invalid_argument "Pool.create: jobs must be >= 1")
     (fun () -> Rw_pool.Pool.run ~jobs:0 ignore)
 
+(* The submitter of a future only waits, so even a width-1 pool starts
+   a worker to run it. *)
+let test_async_width_one () =
+  let got =
+    Rw_pool.Pool.run ~jobs:1 (fun p ->
+        Rw_pool.Pool.await (Rw_pool.Pool.async p (fun () -> 6 * 7)))
+  in
+  Alcotest.(check int) "width-1 future answered" 42 got
+
+(* ------------------------------------------------------------------ *)
+(* One borrowed pool per process                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Domain ids only grow, one per spawn: the id a fresh probe domain
+   gets counts every domain started before it. *)
+let probe_domain_id () =
+  Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
+
+let hep_kb = "Jaun(Eric) /\\ ||Hep(x) | Jaun(x)||_x ~=_1 0.8"
+
+(* Eight queries: the default parallel threshold, so each batch fans
+   out. *)
+let hep_batch =
+  List.map Parser.formula_exn
+    [
+      "Hep(Eric)"; "~Hep(Eric)"; "Jaun(Eric)"; "Hep(Eric) /\\ Jaun(Eric)";
+      "Hep(Dana)"; "Jaun(Dana)"; "Hep(Eric) \\/ Hep(Dana)"; "Hep(Kim)";
+    ]
+
+let test_batches_share_one_pool () =
+  let before = probe_domain_id () in
+  Rw_pool.Pool.run ~jobs:2 (fun pool ->
+      let svc = Rw_service.Service.create ~pool () in
+      Rw_service.Service.load_kb svc (Parser.formula_exn hep_kb);
+      for _ = 1 to 20 do
+        List.iter
+          (function
+            | Ok _ -> () | Error msg -> Alcotest.failf "batch item: %s" msg)
+          (Rw_service.Service.batch svc hep_batch)
+      done);
+  let after = probe_domain_id () in
+  (* One worker for the whole run, plus the second probe itself. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "20 batches started %d domains (at most 1 worker)"
+       (after - before - 1))
+    true
+    (after - before <= 2)
+
+(* The width is pure mechanism: services borrowing pools of width 1, 2
+   and 4 answer a batch identically, Monte-Carlo items included (the
+   binary predicate routes them past the unary and enum engines). *)
+let test_batch_width_invariant () =
+  let qs =
+    hep_batch
+    @ List.map Parser.formula_exn
+        [ "Hep(Eric) /\\ R0(Eric, Eric)"; "Hep(Eric) /\\ R1(Eric, Eric)" ]
+  in
+  let config =
+    {
+      Rw_service.Service.default_config with
+      Rw_service.Service.engine_options =
+        {
+          Engine.default_options with
+          Engine.mc_samples = Some 2_000;
+          mc_sizes = Some [ 8 ];
+        };
+    }
+  in
+  let answers jobs =
+    Rw_pool.Pool.run ~jobs (fun pool ->
+        let svc = Rw_service.Service.create ~config ~pool () in
+        Rw_service.Service.load_kb svc (Parser.formula_exn hep_kb);
+        List.map
+          (function
+            | Ok ((a : Answer.t), _) -> (a.Answer.engine, a.Answer.result)
+            | Error msg -> Alcotest.failf "batch item: %s" msg)
+          (Rw_service.Service.batch svc qs))
+  in
+  let reference = answers 1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "width %d matches width 1" jobs)
+        true
+        (answers jobs = reference))
+    [ 2; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Seed stability: the tentpole determinism contract                  *)
 (* ------------------------------------------------------------------ *)
@@ -97,10 +184,7 @@ let mc_outcome ~jobs =
     Rw_mc.Estimator.estimate ~config ?pool ~seed:42 ~vocab ~n:16
       ~tol:(Tolerance.uniform 0.2) ~kb q
   in
-  let outcome =
-    if jobs = 1 then run None
-    else Rw_pool.Pool.run ~jobs (fun p -> run (Some p))
-  in
+  let outcome = Rw_pool.Pool.run ~jobs (fun p -> run (Some p)) in
   (* Everything but the wall-clock field must be jobs-invariant. *)
   match outcome with
   | Rw_mc.Estimator.Estimate { mean; ci; stats } ->
@@ -136,8 +220,8 @@ let test_determinism_matrix () =
       let kb = Rw_fuzz.Gen.kb_formula case in
       let query = case.Rw_fuzz.Gen.query in
       let result jobs =
-        (Engine.run ~options:{ options with Engine.jobs } Engine.Mc ~kb query)
-          .Answer.result
+        Rw_pool.Pool.run ~jobs (fun pool ->
+            (Engine.run ~options ~pool Engine.Mc ~kb query).Answer.result)
       in
       let reference = result 1 in
       List.iter
@@ -227,7 +311,8 @@ let test_lru_sync_multi_domain () =
 (* ------------------------------------------------------------------ *)
 
 let test_budget_degrades_in_parallel_batch () =
-  let svc = Rw_service.Service.create () in
+  Rw_pool.Pool.run ~jobs:4 @@ fun pool ->
+  let svc = Rw_service.Service.create ~pool () in
   Rw_service.Service.load_kb svc
     (Parser.formula_exn "Jaun(Eric) /\\ ||Hep(x) | Jaun(x)||_x ~=_1 0.8");
   (* The binary predicate routes each query to the Monte-Carlo engine
@@ -240,7 +325,7 @@ let test_budget_degrades_in_parallel_batch () =
         "Hep(Eric) /\\ R2(Eric, Eric)"; "Hep(Eric) /\\ R3(Eric, Eric)";
       ]
   in
-  let results = Rw_service.Service.batch ~budget:0.01 ~jobs:4 svc qs in
+  let results = Rw_service.Service.batch ~budget:0.01 svc qs in
   Alcotest.(check int) "all four answered" 4 (List.length results);
   List.iteri
     (fun i r ->
@@ -315,6 +400,11 @@ let suite =
     ("pool: exceptions propagate", `Quick, test_map_exception);
     ("pool: nested use refused", `Quick, test_nested_refused);
     ("pool: jobs must be positive", `Quick, test_jobs_validation);
+    ("pool: a width-1 pool answers a future", `Quick, test_async_width_one);
+    ("pool: 20 batches on one borrowed pool start one worker", `Quick,
+     test_batches_share_one_pool);
+    ("pool: batch answers identical at widths 1, 2 and 4", `Slow,
+     test_batch_width_invariant);
     ("mc: seed-stable across job counts", `Slow, test_estimator_seed_stable);
     ("mc: determinism matrix, 10 fuzz KBs x jobs 1/2/8", `Slow, test_determinism_matrix);
     ("instr: exact counts from 4 recording domains", `Quick, test_instr_multi_domain);

@@ -158,6 +158,17 @@ let test_run_deterministic () =
   Alcotest.(check int) "all steps ran" 25 a.Sim.steps;
   Alcotest.(check int) "no violations" 0 (List.length a.Sim.violations)
 
+(* The run's pool width is pure mechanism: seed 3 draws a width-4
+   pool, and replaying its ops on replay's width-2 pool reproduces the
+   event log byte for byte, fan-outs and faults included. *)
+let test_run_width_invariant () =
+  Alcotest.(check bool) "seed 3 draws width 4" false
+    (Rw_mc.Prng.bool
+       (Rng_registry.stream (Rng_registry.create 3) "pool.width"));
+  let r = Sim.run ~max_size:3 ~faults:true ~seed:3 ~steps:80 () in
+  Alcotest.(check string) "replay at width 2" r.Sim.digest
+    (Sim.replay r.Sim.ops).Sim.digest
+
 let test_run_seed_sensitive () =
   let a = Sim.run ~max_size:3 ~seed:11 ~steps:10 ()
   and b = Sim.run ~max_size:3 ~seed:12 ~steps:10 () in
@@ -256,6 +267,8 @@ let suite =
     Alcotest.test_case "op parse rejects garbage" `Quick test_op_parse_rejects;
     Alcotest.test_case "run is deterministic" `Slow test_run_deterministic;
     Alcotest.test_case "run is seed-sensitive" `Slow test_run_seed_sensitive;
+    Alcotest.test_case "run is pool-width invariant" `Slow
+      test_run_width_invariant;
     Alcotest.test_case "all fault points fire (pinned seed)" `Slow
       test_faults_all_fire;
     Alcotest.test_case "case save/load round-trip" `Quick test_case_roundtrip;

@@ -209,15 +209,16 @@ let queries =
 let test_concurrent_write_through () =
   let path = temp_path () in
   let t, _ = open_exn path in
-  let svc = Service.create ~store:t () in
-  Service.load_kb svc (Rw_kbzoo.Kbzoo.hep_simple ());
   let fs = List.map parse queries in
   let answers =
-    List.map
-      (function
-        | Ok (a, _) -> a
-        | Error msg -> Alcotest.failf "batch item failed: %s" msg)
-      (Service.batch ~jobs:4 svc fs)
+    Rw_pool.Pool.run ~jobs:4 (fun pool ->
+        let svc = Service.create ~store:t ~pool () in
+        Service.load_kb svc (Rw_kbzoo.Kbzoo.hep_simple ());
+        List.map
+          (function
+            | Ok (a, _) -> a
+            | Error msg -> Alcotest.failf "batch item failed: %s" msg)
+          (Service.batch svc fs))
   in
   Alcotest.(check int) "one live record per distinct query"
     (List.length queries) (Store.length t);

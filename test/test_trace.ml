@@ -310,6 +310,35 @@ let test_serve_explain_roundtrip () =
       check_explained ~expect_cached:false (List.nth replies 1);
       check_explained ~expect_cached:true (List.nth replies 2))
 
+(* The `rw query --explain` path on a top-level disjunctive KB: the
+   maxent-profile fact describes the dominant disjunct's maxent point
+   (its two constraint rows), not the unconstrained uniform point of
+   the disjunction as a whole (no constraints, entropy ln 8). *)
+let test_disjunctive_profile () =
+  let kb =
+    parse
+      "(||LUsable(x)||_x ~=_1 0.2 /\\ LBroken(Eric)) \\/ \
+       (||LUsable(x)||_x ~=_1 0.2 /\\ RBroken(Eric))"
+  in
+  let tr = Trace.create () in
+  ignore (Engine.degree_of_belief ~trace:tr ~kb (parse "LUsable(Eric)"));
+  let profile =
+    List.find_map
+      (function
+        | Trace.Fact { tag = "maxent-profile"; fields } -> Some fields
+        | _ -> None)
+      (Trace.events tr)
+  in
+  match profile with
+  | None -> Alcotest.fail "no maxent-profile fact"
+  | Some fields ->
+    Alcotest.(check bool) "constraints of a disjunct" true
+      (List.assoc_opt "constraints" fields = Some (Trace.I 2));
+    (match List.assoc_opt "entropy" fields with
+    | Some (Trace.F h) ->
+      Alcotest.(check bool) "below the uniform ln 8" true (h < log 8.0 -. 0.1)
+    | _ -> Alcotest.fail "no entropy field")
+
 let suite =
   [
     Alcotest.test_case "golden: dispatch trace on tweety" `Quick
@@ -333,4 +362,6 @@ let suite =
       test_service_retrace;
     Alcotest.test_case "serve: explain JSON round trip" `Quick
       test_serve_explain_roundtrip;
+    Alcotest.test_case "explain: disjunctive KB profiles its dominant disjunct"
+      `Quick test_disjunctive_profile;
   ]
