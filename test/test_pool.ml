@@ -400,11 +400,6 @@ let suite =
     ("pool: exceptions propagate", `Quick, test_map_exception);
     ("pool: nested use refused", `Quick, test_nested_refused);
     ("pool: jobs must be positive", `Quick, test_jobs_validation);
-    ("pool: a width-1 pool answers a future", `Quick, test_async_width_one);
-    ("pool: 20 batches on one borrowed pool start one worker", `Quick,
-     test_batches_share_one_pool);
-    ("pool: batch answers identical at widths 1, 2 and 4", `Slow,
-     test_batch_width_invariant);
     ("mc: seed-stable across job counts", `Slow, test_estimator_seed_stable);
     ("mc: determinism matrix, 10 fuzz KBs x jobs 1/2/8", `Slow, test_determinism_matrix);
     ("instr: exact counts from 4 recording domains", `Quick, test_instr_multi_domain);
@@ -413,4 +408,9 @@ let suite =
     ("budget: polled deadline expires", `Quick, test_budget_check_expires);
     ("budget: nested deadlines narrow, inner expiry spares the outer", `Quick,
      test_budget_nesting);
+    ("pool: a width-1 pool answers a future", `Quick, test_async_width_one);
+    ("pool: 20 batches on one borrowed pool start one worker", `Quick,
+     test_batches_share_one_pool);
+    ("pool: batch answers identical at widths 1, 2 and 4", `Slow,
+     test_batch_width_invariant);
   ]
