@@ -20,7 +20,7 @@ dune exec bin/rw.exe -- query \
 # convergence, parser totality, explain-trace consistency, warm-vs-fresh
 # compiled-artifact answer identity, belief-change session soundness).
 # Any violation fails the gate and the
-# report prints the shrunk counterexample. ~8 min on a single-core box
+# report prints the shrunk counterexample. ~3.5 min on a 2-vCPU box
 # (case cost is long-tailed — a few generated KBs dominate); the
 # deeper 500-case sweep is run manually (see EXPERIMENTS.md). Runs
 # through the domain pool (--jobs 2) so the parallel driver is part of
@@ -350,6 +350,39 @@ case $(printf '%s\n' "$sess_stats" | tail -n 1) in
   *'"artifact_carries":3'*) ;;
   *) echo "ci: expected 3 artifact carries" >&2
      printf '%s\n' "$sess_stats" >&2; exit 1 ;;
+esac
+
+# Bounded provenance: a cache entry keeps one fixed-size summary of the
+# updates it survived, not a list. A cached Hep(Eric) outlives 200
+# alternating asserts/retracts of a disjoint fact; the explained query
+# after them must carry exactly one `revalidated` fact counting 200,
+# and every update reply must keep the seven session_update fields.
+prov_out=$(
+  {
+    echo '{"op":"query","query":"Hep(Eric)"}'
+    i=1
+    while [ "$i" -le 200 ]; do
+      if [ $((i % 2)) -eq 1 ]; then act=assert; else act=retract; fi
+      echo "{\"op\":\"session_update\",\"action\":\"$act\",\"src\":\"Cough(Zed)\"}"
+      i=$((i + 1))
+    done
+    echo '{"op":"query","query":"Hep(Eric)","explain":true}'
+  } | _build/default/bin/rw.exe serve --kb examples/kb/hepatitis.kb 2> /dev/null)
+prov_updates=$(printf '%s\n' "$prov_out" | sed -n '2,201p' \
+  | grep -c '^{"ok":true,"seq":[0-9]*,"digest":"[0-9a-f]*","changed":true,"revalidated":1,"evicted":0,"artifact":"[a-z]*","elapsed_ms":[0-9.e+-]*}$' \
+  || true)
+[ "$prov_updates" -eq 200 ] \
+  || { echo "ci: $prov_updates of 200 session_update replies kept the seven wire fields" >&2
+       printf '%s\n' "$prov_out" | sed -n '2,3p' >&2; exit 1; }
+prov_last=$(printf '%s\n' "$prov_out" | tail -n 1)
+prov_facts=$(printf '%s\n' "$prov_last" | grep -o '"tag":"revalidated"' | wc -l)
+[ "$prov_facts" -eq 1 ] \
+  || { echo "ci: explained hit carries $prov_facts revalidated facts, want 1" >&2
+       exit 1; }
+case $prov_last in
+  *'"tag":"revalidated","count":200,'*) ;;
+  *) echo "ci: revalidated fact does not count 200 updates: $prov_last" >&2
+     exit 1 ;;
 esac
 
 # Compiled-KB tier: the compile runs outside the request budget, so a

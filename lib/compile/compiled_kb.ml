@@ -101,19 +101,6 @@ type t = {
 let default_schedule =
   Tolerance.schedule ~factor:0.5 ~steps:6 (Tolerance.uniform 0.02)
 
-(* Deterministic tolerance fingerprint: hex floats so distinct scales
-   never collide through decimal rounding. *)
-let tol_key (tol : Tolerance.t) =
-  let pairs ps =
-    String.concat ","
-      (List.map
-         (fun (i, v) -> Printf.sprintf "%d:%h" i v)
-         (List.sort Stdlib.compare ps))
-  in
-  Printf.sprintf "%h[w%s][p%s]" tol.Tolerance.scale
-    (pairs tol.Tolerance.weights)
-    (pairs tol.Tolerance.powers)
-
 (* A per-query analysis can reuse the compiled solver state only when
    it describes the same optimisation problem: same atom universe (the
    query introduced no new predicates) and the same classified
@@ -134,7 +121,7 @@ let compatible_parts (u : unary_data) (parts : Analysis.parts) =
    expiry, stack overflow) propagates uncached and leaves the cell
    empty for the next request. *)
 let solve_memo t (u : unary_data) tol =
-  let key = tol_key tol in
+  let key = Tolerance.fingerprint tol in
   Mutex.protect u.m (fun () ->
       match Hashtbl.find_opt u.solutions key with
       | Some r ->
@@ -163,7 +150,7 @@ let profile_table t parts ~n ~tol =
   | None -> None
   | Some u when not (compatible_parts u parts) -> None
   | Some u ->
-    let key = Printf.sprintf "%d|%s" n (tol_key tol) in
+    let key = Printf.sprintf "%d|%s" n (Tolerance.fingerprint tol) in
     Mutex.protect u.m (fun () ->
         match Hashtbl.find_opt u.tables key with
         | Some tbl ->
@@ -278,10 +265,6 @@ let digest t =
 
 let kb t = t.kb
 
-let rec flatten_or = function
-  | Or (a, b) -> flatten_or a @ flatten_or b
-  | f -> [ f ]
-
 (* Racing first readers may each compile the disjuncts, but only the
    first store is handed out, so every query shares one set of memos. *)
 let disjuncts t =
@@ -289,7 +272,9 @@ let disjuncts t =
   | Some ds -> ds
   | None ->
     let ds =
-      match flatten_or t.kb with [] | [ _ ] -> [] | ds -> List.map compile ds
+      match Syntax.disjuncts t.kb with
+      | [] | [ _ ] -> []
+      | ds -> List.map compile ds
     in
     ignore (Atomic.compare_and_set t.disjuncts None (Some ds));
     Option.get (Atomic.get t.disjuncts)

@@ -29,10 +29,6 @@ let rec flatten_and = function
   | And (a, b) -> flatten_and a @ flatten_and b
   | f -> [ f ]
 
-let rec flatten_or = function
-  | Or (a, b) -> flatten_or a @ flatten_or b
-  | f -> [ f ]
-
 let rec flatten_add = function
   | Add (a, b) -> flatten_add a @ flatten_add b
   | z -> [ z ]
@@ -74,8 +70,8 @@ let rec canon_f env depth f =
     let parts = sort_uniq_by fkey (List.concat_map flatten_and parts) in
     rebuild_left (fun a b -> And (a, b)) parts
   | Or _ ->
-    let parts = List.map (canon_f env depth) (flatten_or f) in
-    let parts = sort_uniq_by fkey (List.concat_map flatten_or parts) in
+    let parts = List.map (canon_f env depth) (disjuncts f) in
+    let parts = sort_uniq_by fkey (List.concat_map disjuncts parts) in
     rebuild_left (fun a b -> Or (a, b)) parts
   | Implies (g, h) ->
     (* Unreachable after NNF, kept total for standalone use. *)

@@ -69,6 +69,12 @@ let disj = function
   | [] -> False
   | f :: rest -> List.fold_left (fun acc g -> Or (acc, g)) f rest
 
+(** [disjuncts f] flattens an [Or] tree, left to right; a formula that
+    is not a disjunction is its own single disjunct. *)
+let rec disjuncts = function
+  | Or (f, g) -> disjuncts f @ disjuncts g
+  | f -> [ f ]
+
 (** [approx_eq ~i z z'] builds [z ≈_i z']. *)
 let approx_eq ~i z z' = Compare (z, Approx_eq i, z')
 

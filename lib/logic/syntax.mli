@@ -59,6 +59,10 @@ val conj : formula list -> formula
 val disj : formula list -> formula
 (** Disjunction of a list ([False] when empty). *)
 
+val disjuncts : formula -> formula list
+(** Flatten an [Or] tree, left to right. A formula that is not a
+    disjunction is its own single disjunct. *)
+
 val approx_eq : i:int -> proportion -> proportion -> formula
 val approx_le : i:int -> proportion -> proportion -> formula
 

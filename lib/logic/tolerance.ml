@@ -59,6 +59,17 @@ let schedule ?(factor = 0.5) ~steps t0 =
   in
   go t0 steps []
 
+(** [fingerprint t] renders every field deterministically, with hex
+    floats so distinct scales never collide through decimal rounding. *)
+let fingerprint t =
+  let pairs ps =
+    String.concat ","
+      (List.map
+         (fun (i, v) -> Printf.sprintf "%d:%h" i v)
+         (List.sort Stdlib.compare ps))
+  in
+  Printf.sprintf "%h[w%s][p%s]" t.scale (pairs t.weights) (pairs t.powers)
+
 let pp ppf t =
   if t.weights = [] && t.powers = [] then Fmt.pf ppf "τ=%g" t.scale
   else

@@ -39,4 +39,11 @@ val shrink : t -> float -> t
 val schedule : ?factor:float -> steps:int -> t -> t list
 (** The decreasing sequence of vectors used to estimate [lim_{τ̄→0}]. *)
 
+val fingerprint : t -> string
+(** A deterministic rendering of every field (hex floats, index-sorted
+    weights and powers): equal strings mean interchangeable vectors.
+    The service's options digest and the compiled artifact's solve
+    memos key on it, so its output is part of every durable store key
+    and must not change. *)
+
 val pp : Format.formatter -> t -> unit

@@ -36,10 +36,6 @@ let rec flatten_and = function
   | And (a, b) -> flatten_and a @ flatten_and b
   | f -> [ f ]
 
-let rec flatten_or = function
-  | Or (a, b) -> flatten_or a @ flatten_or b
-  | f -> [ f ]
-
 (* Backtracking multiset matching: each element of [fs] pairs with a
    distinct element of [gs]. *)
 let rec ac_match eq env fs gs =
@@ -63,7 +59,7 @@ let rec formula_eq env f g =
     (term_eq env a c && term_eq env b d) || (term_eq env a d && term_eq env b c)
   | Not a, Not b -> formula_eq env a b
   | And _, And _ -> ac_match formula_eq env (flatten_and f) (flatten_and g)
-  | Or _, Or _ -> ac_match formula_eq env (flatten_or f) (flatten_or g)
+  | Or _, Or _ -> ac_match formula_eq env (disjuncts f) (disjuncts g)
   | Implies (a, b), Implies (c, d) -> formula_eq env a c && formula_eq env b d
   | Iff (a, b), Iff (c, d) ->
     (formula_eq env a c && formula_eq env b d)

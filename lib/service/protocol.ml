@@ -124,15 +124,15 @@ let json_of_compiled_stats (c : Service.compiled_stats) =
       ("compile_ms_total", Json.Float c.Service.compile_ms_total);
     ]
 
-let update_outcome_fields (u : Service.update_outcome) =
+let session_update_fields (e : Service.session_event) =
   [
-    ("seq", Json.Int u.Service.useq);
-    ("digest", Json.String u.Service.digest);
-    ("changed", Json.Bool u.Service.changed);
-    ("revalidated", Json.Int u.Service.revalidated);
-    ("evicted", Json.Int u.Service.evicted);
-    ("artifact", Json.String u.Service.artifact);
-    ("elapsed_ms", Json.Float u.Service.elapsed_ms);
+    ("seq", Json.Int e.Service.seq);
+    ("digest", Json.String e.Service.digest_after);
+    ("changed", Json.Bool e.Service.changed);
+    ("revalidated", Json.Int e.Service.revalidated);
+    ("evicted", Json.Int e.Service.evicted);
+    ("artifact", Json.String e.Service.artifact);
+    ("elapsed_ms", Json.Float e.Service.elapsed_ms);
   ]
 
 let json_of_session_event (e : Service.session_event) =

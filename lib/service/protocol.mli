@@ -82,10 +82,10 @@ val json_of_stats : Service.stats -> Json.t
     when a durable tier is attached, and always a ["session"] object
     (update/revalidation/eviction/reclaim counters). *)
 
-val update_outcome_fields : Service.update_outcome -> (string * Json.t) list
-(** The [session_update] reply payload: sequence number, new digest,
-    [changed], revalidated/evicted entry counts, artifact disposition
-    and elapsed milliseconds. *)
+val session_update_fields : Service.session_event -> (string * Json.t) list
+(** The [session_update] reply payload, from the event the update
+    logged: [seq], [digest] (the digest after), [changed],
+    [revalidated], [evicted], [artifact] and [elapsed_ms]. *)
 
 val json_of_session_event : Service.session_event -> Json.t
 (** One [session_log] entry, mirroring {!Service.session_event}. *)

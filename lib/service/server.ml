@@ -121,15 +121,12 @@ let handle_request service req =
   end
   | Protocol.Session_update { action; src = usrc; _ } -> begin
     match Service.update_src service action usrc with
-    | Ok outcome ->
+    | Ok ev ->
       Log.info (fun m ->
           m "session_update %s seq=%d revalidated=%d evicted=%d %s"
-            (match action with
-            | Service.Assert -> "assert"
-            | Service.Retract -> "retract")
-            outcome.Service.useq outcome.Service.revalidated
-            outcome.Service.evicted usrc);
-      `Reply (Protocol.ok_reply ?id (Protocol.update_outcome_fields outcome))
+            ev.Service.action ev.Service.seq ev.Service.revalidated
+            ev.Service.evicted usrc);
+      `Reply (Protocol.ok_reply ?id (Protocol.session_update_fields ev))
     | Error msg ->
       Log.warn (fun m -> m "session_update failed: %s" msg);
       `Reply (Protocol.error_reply ?id msg)
@@ -175,7 +172,11 @@ let handle_request service req =
     Log.info (fun m -> m "shutdown");
     `Quit (Protocol.ok_reply ?id [ ("bye", Json.Bool true) ])
 
-let handle_line service line =
+(* Parse and decode one NDJSON line, then hand the request to
+   [dispatch] — the stdio loop's or the listener's. A line that does
+   not decode gets its error reply here, with the echoed id when the
+   JSON carried one. *)
+let decode_line dispatch line =
   match Json.of_string line with
   | Error msg ->
     Log.warn (fun m -> m "malformed request: %s" msg);
@@ -185,7 +186,9 @@ let handle_line service line =
     | Error msg ->
       Log.warn (fun m -> m "bad request: %s" msg);
       `Reply (Protocol.error_reply ?id:(Json.member "id" json) msg)
-    | Ok req -> handle_request service req)
+    | Ok req -> dispatch req)
+
+let handle_line service = decode_line (handle_request service)
 
 (* ------------------------------------------------------------------ *)
 (* The socket listener                                                *)
@@ -341,18 +344,6 @@ let listen_dispatch st req =
   end
   | Protocol.Persist _ | Protocol.Shutdown _ -> handle_request st.service req
 
-let listen_handle_line st line =
-  match Json.of_string line with
-  | Error msg ->
-    Log.warn (fun m -> m "malformed request: %s" msg);
-    `Reply (Protocol.error_reply msg)
-  | Ok json -> (
-    match Protocol.request_of_json json with
-    | Error msg ->
-      Log.warn (fun m -> m "bad request: %s" msg);
-      `Reply (Protocol.error_reply ?id:(Json.member "id" json) msg)
-    | Ok req -> listen_dispatch st req)
-
 let write_all fd s =
   let b = Bytes.of_string s in
   let n = Bytes.length b in
@@ -404,7 +395,7 @@ let conn_loop st fd =
     if String.trim line = "" then `Continue
     else begin
       counted st (fun st -> st.conn_requests <- st.conn_requests + 1);
-      match listen_handle_line st line with
+      match decode_line (listen_dispatch st) line with
       | `Reply reply ->
         emit_fd fd reply;
         `Continue

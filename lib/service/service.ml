@@ -105,15 +105,24 @@ let latency_summary l =
 
    For the session layer each entry also remembers the query it
    answers and that query's vocabulary — the inputs of the delta-aware
-   invalidation walk — plus a provenance log of [revalidated] facts
-   accumulated as the entry survives KB updates. Provenance lives in
-   memory only; the durable store persists answer and trace. *)
+   invalidation walk — plus a fixed-size summary of the KB updates it
+   survived by revalidation, so an entry is the same size however long
+   the session. Provenance lives in memory only; the durable store
+   persists answer and trace. *)
+type revalidations = {
+  count : int;
+  first_seq : int;
+  last_seq : int;
+  kb_from : string;  (** the KB digest before the first revalidation *)
+  kb_to : string;  (** the KB digest after the last *)
+}
+
 type entry = {
   answer : Answer.t;
   trace : Trace.event list option;
   query : Syntax.formula;
   qvocab : Vocab.t;
-  provenance : Trace.event list;
+  revalidations : revalidations option;
 }
 
 (* One line of the session log: a KB mutation (or full swap) with the
@@ -136,16 +145,6 @@ type session_event = {
 }
 
 type update_action = Assert | Retract
-
-type update_outcome = {
-  useq : int;
-  digest : string;
-  changed : bool;
-  revalidated : int;
-  evicted : int;
-  artifact : string;
-  elapsed_ms : float;
-}
 
 type t = {
   config : config;
@@ -196,21 +195,10 @@ type t = {
 (* Two services answer from interchangeable cache entries only when
    every knob that can change an engine verdict agrees: the tolerance
    schedule, the domain-size grids, and the Monte-Carlo parameters.
-   Render them all deterministically and hash. *)
-let tolerance_fingerprint (tol : Tolerance.t) =
-  let pairs ps =
-    String.concat ","
-      (List.map
-         (fun (i, v) -> Printf.sprintf "%d:%h" i v)
-         (List.sort Stdlib.compare ps))
-  in
-  Printf.sprintf "%h[w%s][p%s]" tol.Tolerance.scale
-    (pairs tol.Tolerance.weights)
-    (pairs tol.Tolerance.powers)
-
-(* The pool width is deliberately not an option: the Monte-Carlo chunk
-   seeding makes answers width-invariant, so services borrowing pools
-   of different widths answer from interchangeable cache entries. *)
+   Render them all deterministically and hash. The pool width is
+   deliberately not an option: the Monte-Carlo chunk seeding makes
+   answers width-invariant, so services borrowing pools of different
+   widths answer from interchangeable cache entries. *)
 let options_fingerprint (o : Engine.options) =
   let ints = function
     | None -> "-"
@@ -220,7 +208,7 @@ let options_fingerprint (o : Engine.options) =
     Printf.sprintf "tols=%s;unary=%s;enum=%s;use_enum=%b;seed=%d;samples=%s;ciw=%s;mcns=%s;xchk=%b"
       (match o.Engine.tols with
       | None -> "-"
-      | Some ts -> String.concat ";" (List.map tolerance_fingerprint ts))
+      | Some ts -> String.concat ";" (List.map Tolerance.fingerprint ts))
       (ints o.Engine.unary_sizes) (ints o.Engine.enum_sizes) o.Engine.use_enum
       o.Engine.mc_seed
       (match o.Engine.mc_samples with None -> "-" | Some n -> string_of_int n)
@@ -268,14 +256,6 @@ let pool t = t.pool
 (* KB lifecycle                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The KB's conjunct list — the granularity at which sessions assert
-   and retract. Matches the unary analyser's split, so the session's
-   reconstructed [Syntax.conj conjuncts] round-trips structurally. *)
-let rec split_conjuncts = function
-  | Syntax.And (f, g) -> split_conjuncts f @ split_conjuncts g
-  | Syntax.True -> []
-  | f -> [ f ]
-
 let log_event t ev =
   t.session_log_rev <- ev :: t.session_log_rev;
   t.session_log_len <- t.session_log_len + 1
@@ -306,7 +286,10 @@ let load_kb t kb =
   t.swap_reclaimed_total <- t.swap_reclaimed_total + reclaimed;
   t.kb <- Some kb;
   t.kb_digest <- digest;
-  t.conjuncts <- split_conjuncts kb;
+  (* The KB's conjunct list, the granularity at which sessions assert
+     and retract: the unary analyser's split, so the session's
+     reconstructed [Syntax.conj conjuncts] round-trips structurally. *)
+  t.conjuncts <- Rw_unary.Analysis.split_conjuncts kb;
   Atomic.incr t.kb_loads;
   t.seq <- t.seq + 1;
   log_event t
@@ -355,7 +338,7 @@ let cache_key t q = t.kb_digest ^ "|" ^ Canonical.digest q ^ "|" ^ t.opts_digest
    fails to decode (e.g. written by a future payload version) is
    treated as a miss, not an error. *)
 let mk_entry q answer trace =
-  { answer; trace; query = q; qvocab = Vocab.of_formula q; provenance = [] }
+  { answer; trace; query = q; qvocab = Vocab.of_formula q; revalidations = None }
 
 let store_probe t key q =
   match t.store with
@@ -468,15 +451,24 @@ let rules_definitive (a : Answer.t) =
 
 let short_digest d = if String.length d > 12 then String.sub d 0 12 else d
 
-let revalidated_fact ~seq ~before ~after =
+(* One more survived update, in O(1): the summary keeps the first
+   revalidation's origin and the latest one's destination. *)
+let note_revalidation ~seq ~before ~after = function
+  | None ->
+    { count = 1; first_seq = seq; last_seq = seq; kb_from = before; kb_to = after }
+  | Some r -> { r with count = r.count + 1; last_seq = seq; kb_to = after }
+
+let revalidated_fact r =
   Trace.Fact
     {
       tag = "revalidated";
       fields =
         [
-          ("seq", Trace.I seq);
-          ("kb_from", Trace.S (short_digest before));
-          ("kb_to", Trace.S (short_digest after));
+          ("count", Trace.I r.count);
+          ("first_seq", Trace.I r.first_seq);
+          ("last_seq", Trace.I r.last_seq);
+          ("kb_from", Trace.S (short_digest r.kb_from));
+          ("kb_to", Trace.S (short_digest r.kb_to));
         ];
     }
 
@@ -487,9 +479,10 @@ let revalidated_fact ~seq ~before ~after =
    change recompiles-or-carries the compiled artifact
    ({!Rw_compile.Compiled_kb.update}) and walks the old digest's cache
    entries: disjoint-vocabulary definitive rules answers that recheck
-   identically are re-keyed to the new digest (gaining a [revalidated]
-   provenance fact and a durable-store record under the new key);
-   everything else is evicted. *)
+   identically are re-keyed to the new digest (their revalidation
+   summary counts the update, and they gain a durable-store record
+   under the new key); everything else is evicted. Returns the session
+   event it logs. *)
 let update ?src t action f =
   Mutex.protect t.session_m @@ fun () ->
   match t.kb with
@@ -499,7 +492,7 @@ let update ?src t action f =
     let src = match src with Some s -> s | None -> Pretty.to_string f in
     let before = t.kb_digest in
     let action_s = match action with Assert -> "assert" | Retract -> "retract" in
-    let delta_conjs = split_conjuncts f in
+    let delta_conjs = Rw_unary.Analysis.split_conjuncts f in
     let conjuncts', delta =
       match action with
       | Assert ->
@@ -527,8 +520,7 @@ let update ?src t action f =
       t.revalidated_total <- t.revalidated_total + revalidated;
       t.update_evicted_total <- t.update_evicted_total + evicted;
       t.seq <- t.seq + 1;
-      let elapsed_ms = (Rw_prelude.Clock.now () -. t0) *. 1000.0 in
-      log_event t
+      let ev =
         {
           seq = t.seq;
           action = action_s;
@@ -539,18 +531,11 @@ let update ?src t action f =
           revalidated;
           evicted;
           artifact;
-          elapsed_ms;
-        };
-      Ok
-        {
-          useq = t.seq;
-          digest;
-          changed;
-          revalidated;
-          evicted;
-          artifact;
-          elapsed_ms;
+          elapsed_ms = (Rw_prelude.Clock.now () -. t0) *. 1000.0;
         }
+      in
+      log_event t ev;
+      Ok ev
     in
     if delta = [] then
       record ~digest:before ~changed:false ~revalidated:0 ~evicted:0
@@ -600,9 +585,10 @@ let update ?src t action f =
               let e' =
                 {
                   e with
-                  provenance =
-                    e.provenance
-                    @ [ revalidated_fact ~seq:next_seq ~before ~after ];
+                  revalidations =
+                    Some
+                      (note_revalidation ~seq:next_seq ~before ~after
+                         e.revalidations);
                 }
               in
               store_put t key' e';
@@ -663,15 +649,18 @@ let cache_fact outcome key =
    tiers. [trace] is the sink of an explained request, fresh per
    request: a served entry replays its stored trace into it behind a
    [cache] fact, and a dispatch's events become the new entry's trace.
-   An entry that predates tracing (computed by a plain query, in this
-   process or a previous one) is re-derived once with the sink and
-   upgraded in both tiers. The answer served stays the stored one when
-   that retrace runs out of budget: an expiry must not degrade an
-   answer we already have. A budget expiry on a miss serves the rules
-   engine's sound interval on the request's artifact, which depends on
-   the clock and so is neither cached nor persisted. A failed compile
-   leaves no artifact to degrade to: the request fails with an error
-   and nothing is cached or persisted. *)
+   An entry that survived KB updates ends the reply with one
+   [revalidated] fact, its summary; the summary is never part of a
+   stored trace. An entry that predates tracing (computed by a plain
+   query, in this process or a previous one) is re-derived once with
+   the sink and upgraded in both tiers, keeping its summary. The
+   answer served stays the stored one when that retrace runs out of
+   budget: an expiry must not degrade an answer we already have. A
+   budget expiry on a miss serves the rules engine's sound interval on
+   the request's artifact, which depends on the clock and so is neither
+   cached nor persisted. A failed compile leaves no artifact to degrade
+   to: the request fails with an error and nothing is cached or
+   persisted. *)
 let ladder ?budget ?trace t q =
   match t.kb with
   | None -> Error "no knowledge base loaded"
@@ -682,43 +671,39 @@ let ladder ?budget ?trace t q =
     let t0 = Rw_prelude.Clock.now () in
     Atomic.incr t.queries;
     let key = cache_key t q in
-    (* [provenance] is that of the entry a retrace upgrades: it is
-       replayed behind the cache fact, as on any hit, and carried into
-       the new entry, but kept out of the entry's stored trace. An
-       expiry is [Error] with the artifact the degraded answer reads. *)
-    let dispatch ?(provenance = []) outcome =
-      Option.iter
-        (fun tr -> List.iter (Trace.add tr) (cache_fact outcome key :: provenance))
-        trace;
+    (* The new entry is persisted here and cached by the caller, which
+       may carry a summary into it. An expiry is [Error] with the
+       artifact the degraded answer reads. *)
+    let dispatch outcome =
+      Option.iter (fun tr -> Trace.add tr (cache_fact outcome key)) trace;
       let compiled = compiled_for t kb in
       match run_engine ?trace ?budget t compiled ~kb q with
       | None -> Error compiled
       | Some a ->
-        let evs =
-          Option.map
-            (fun tr ->
-              List.filter
-                (fun ev -> not (List.memq ev provenance))
-                (Trace.events tr))
-            trace
-        in
-        let e = { (mk_entry q a evs) with provenance } in
-        Lru.Sync.add t.cache key e;
+        let e = mk_entry q a (Option.map Trace.events trace) in
         store_put t key e;
-        Ok a
+        Ok e
     in
     let serve ~outcome (e : entry) =
-      match (trace, e.trace) with
-      | None, _ -> e.answer
-      | Some tr, Some evs ->
-        List.iter (Trace.add tr) ((cache_fact outcome key :: e.provenance) @ evs);
-        e.answer
-      | Some tr, None -> (
-        match dispatch ~provenance:e.provenance (outcome ^ "-retraced") with
-        | Ok a -> a
-        | Error _ ->
-          Trace.note tr "retrace ran out of budget; cached answer returned";
-          e.answer)
+      let answer =
+        match (trace, e.trace) with
+        | None, _ -> e.answer
+        | Some tr, Some evs ->
+          List.iter (Trace.add tr) (cache_fact outcome key :: evs);
+          e.answer
+        | Some tr, None -> (
+          match dispatch (outcome ^ "-retraced") with
+          | Ok e' ->
+            Lru.Sync.add t.cache key { e' with revalidations = e.revalidations };
+            e'.answer
+          | Error _ ->
+            Trace.note tr "retrace ran out of budget; cached answer returned";
+            e.answer)
+      in
+      (match (trace, e.revalidations) with
+      | Some tr, Some r -> Trace.add tr (revalidated_fact r)
+      | _ -> ());
+      answer
     in
     let result () =
       match Lru.Sync.find t.cache key with
@@ -730,7 +715,9 @@ let ladder ?budget ?trace t q =
           (serve ~outcome:"hit-store" e, Stored)
         | None -> (
           match dispatch "miss" with
-          | Ok a -> (a, Computed)
+          | Ok e ->
+            Lru.Sync.add t.cache key e;
+            (e.answer, Computed)
           | Error compiled ->
             Atomic.incr t.timeouts;
             Option.iter

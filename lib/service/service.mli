@@ -74,10 +74,11 @@
     them: cached answers whose query vocabulary is disjoint from the
     delta's {e and} whose answer is a definitive rules-engine verdict
     are rechecked against the updated KB — a recheck that reproduces
-    the answer re-keys the entry under the new digest (recording a
-    [revalidated] provenance fact served by later [--explain] hits,
-    and writing the entry through to the durable store under its new
-    key); every other entry of the old digest is evicted. Soundness is
+    the answer re-keys the entry under the new digest (counting the
+    update in the entry's fixed-size revalidation summary, which later
+    [--explain] hits show as one [revalidated] fact, and writing the
+    entry through to the durable store under its new key); every other
+    entry of the old digest is evicted. Soundness is
     by construction: dispatch short-circuits on definitive rules
     answers before any numeric engine runs, so a revalidated entry is
     bit-identical to what a cold re-dispatch on the updated KB would
@@ -169,18 +170,26 @@ val evict_all : t -> int * int
 
 type update_action = Assert | Retract
 
-type update_outcome = {
-  useq : int;  (** this mutation's sequence number in the session log *)
-  digest : string;  (** the KB digest after the update *)
+(** One line of the {!session_log}: a KB mutation and the cache
+    bookkeeping it caused. *)
+type session_event = {
+  seq : int;  (** this mutation's sequence number in the session log *)
+  action : string;  (** ["assert"], ["retract"] or ["load"] *)
+  src : string;  (** delta source text; empty for loads *)
+  digest_before : string;
+  digest_after : string;
   changed : bool;
       (** [false] for a canonical no-op — asserting an already-present
-          statement or retracting an absent one; nothing was evicted *)
+          statement, retracting an absent one, or reloading the same
+          KB; nothing was evicted *)
   revalidated : int;  (** cache entries re-keyed to the new digest *)
-  evicted : int;  (** cache entries invalidated by the delta *)
+  evicted : int;
+      (** cache entries invalidated by the delta, or reclaimed by a
+          load that swapped the KB *)
   artifact : string;
       (** what happened to the compiled artifact: ["carried"] (memo
-          tables survived an evidence-only delta), ["recompiled"] or
-          ["unchanged"] (no-op) *)
+          tables survived an evidence-only delta), ["recompiled"],
+          ["dropped"] (a load swapped the KB) or ["unchanged"] *)
   elapsed_ms : float;
 }
 
@@ -189,7 +198,7 @@ val update :
   t ->
   update_action ->
   Syntax.formula ->
-  (update_outcome, string) result
+  (session_event, string) result
 (** Apply one belief change to the resident KB. [Assert] conjoins the
     formula's conjuncts (those not already present, by canonical
     digest); [Retract] removes the KB conjuncts canonically matching
@@ -197,25 +206,13 @@ val update :
     delta makes the combined KB ill-formed (e.g. a symbol reused at
     a different arity) — nothing is mutated on error. [?src] is the
     source text recorded in the session log (defaults to the
-    pretty-printed formula). See the module docstring for the
-    delta-aware cache invalidation an update performs. *)
+    pretty-printed formula). Returns the event it appends to the
+    {!session_log}. See the module docstring for the delta-aware cache
+    invalidation an update performs. *)
 
-val update_src : t -> update_action -> string -> (update_outcome, string) result
+val update_src : t -> update_action -> string -> (session_event, string) result
 (** Parse ({!Kb_file.of_string}, so multi-statement text asserts or
     retracts several conjuncts at once), then {!update}. *)
-
-type session_event = {
-  seq : int;
-  action : string;  (** ["assert"], ["retract"] or ["load"] *)
-  src : string;  (** delta source text; empty for loads *)
-  digest_before : string;
-  digest_after : string;
-  changed : bool;
-  revalidated : int;
-  evicted : int;
-  artifact : string;
-  elapsed_ms : float;
-}
 
 val session_log : t -> session_event list
 (** Every KB mutation this service has performed, oldest first — full
@@ -243,8 +240,13 @@ val query_src :
     tier's stored trace replayed, possibly from a previous process),
     or the [-retraced] variants ([hit-retraced] / [hit-store-retraced])
     when an entry computed with tracing off had to be re-derived once
-    to obtain its trace — the upgrade is written back to both
-    tiers. *)
+    to obtain its trace — the upgrade is written back to both tiers.
+    An entry that survived KB updates by revalidation ends the reply
+    with exactly one ["revalidated"] fact summarising them, however
+    many there were: [count], [first_seq] / [last_seq] (session-log
+    sequence numbers) and the short KB digests [kb_from] (before the
+    first) and [kb_to] (after the last). The summary is memory-only —
+    never part of a stored trace. *)
 
 type explained = {
   answer : Answer.t;

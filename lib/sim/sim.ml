@@ -40,13 +40,6 @@ let sim_config =
     engine_options = sim_options;
   }
 
-(* Mirrors [Service]'s conjunct split — the shadow must use the same
-   granularity the session layer mutates at. *)
-let rec split_conjuncts = function
-  | Syntax.And (f, g) -> split_conjuncts f @ split_conjuncts g
-  | Syntax.True -> []
-  | f -> [ f ]
-
 let zero_expected =
   {
     Invariant.queries = 0;
@@ -117,7 +110,7 @@ let exec st viol op =
   | Op.Load_kb fs ->
     let kb = Syntax.conj fs in
     Service.load_kb st.svc kb;
-    st.shadow <- split_conjuncts kb;
+    st.shadow <- Rw_unary.Analysis.split_conjuncts kb;
     st.loaded <- true;
     (* Ring answers are only replayable against the KB they were
        answered under; a swap invalidates them. *)
@@ -192,7 +185,7 @@ let exec st viol op =
     | exception Hook.Injected p -> Printf.sprintf "%s injected=%s" name p
     | Ok o ->
       let before_digest = Canonical.digest (Syntax.conj st.shadow) in
-      let delta = split_conjuncts f in
+      let delta = Rw_unary.Analysis.split_conjuncts f in
       (st.shadow <-
          (match action with
          | Service.Assert ->

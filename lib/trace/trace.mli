@@ -78,8 +78,18 @@ type event =
     - ["mc-point"] — one sampling run: [n], [tol], [seed], [samples],
       [kb_hits], [ci_lo]/[ci_hi] (timings deliberately excluded, so
       traces stay deterministic);
-    - ["cache"] — service provenance: [outcome] (["hit"] | ["miss"] |
-      ["hit-retraced"]), [key];
+    - ["compiled-kb"] — the compiled artifact the dispatch read:
+      [digest] (short), [compile_ms], [maxent_point] (["fresh-solve"]
+      | ["reused"]);
+    - ["cache"] — service provenance: [outcome] (["miss"] | ["hit"]
+      (answer LRU) | ["hit-store"] (durable store) | ["hit-retraced"] /
+      ["hit-store-retraced"] (an entry stored without a trace,
+      re-derived once to obtain one)), [key];
+    - ["revalidated"] — the belief-change updates a served entry
+      survived by revalidation, summarised in one fact at the end of
+      the reply: [count], [first_seq] / [last_seq] (session-log
+      sequence numbers), [kb_from] (short KB digest before the first)
+      and [kb_to] (after the last);
     - ["note"] — free text. *)
 
 type t

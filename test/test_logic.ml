@@ -395,6 +395,30 @@ let prop_free_vars_after_closing =
       in
       is_closed closed)
 
+(* The tolerance fingerprint feeds the service's options digest, and so
+   every answer-cache and durable-store key: these strings must never
+   change, or stores written before the change stop hitting. *)
+let test_tolerance_fingerprint_pinned () =
+  Alcotest.(check (list string))
+    "default schedule"
+    [
+      "0x1.47ae147ae147bp-6[w][p]";
+      "0x1.47ae147ae147bp-7[w][p]";
+      "0x1.47ae147ae147bp-8[w][p]";
+      "0x1.47ae147ae147bp-9[w][p]";
+      "0x1.47ae147ae147bp-10[w][p]";
+      "0x1.47ae147ae147bp-11[w][p]";
+    ]
+    (List.map Tolerance.fingerprint
+       (Tolerance.schedule ~factor:0.5 ~steps:6 (Tolerance.uniform 0.02)));
+  Alcotest.(check string)
+    "weights and powers, index-sorted"
+    "0x1.999999999999ap-4[w1:0x1p-1,2:0x1.8p+1][p2:0x1p+1]"
+    (Tolerance.fingerprint
+       (Tolerance.make ~scale:0.1
+          ~weights:[ (2, 3.0); (1, 0.5) ]
+          ~powers:[ (2, 2.0) ] ()))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -423,4 +447,5 @@ let suite =
     q prop_print_parse_roundtrip;
     q prop_subst_identity;
     q prop_free_vars_after_closing;
+      ("tolerance.fingerprint_pinned", `Quick, test_tolerance_fingerprint_pinned);
   ]

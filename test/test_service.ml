@@ -468,16 +468,16 @@ let test_session_retract_and_noops () =
     o2.Service.changed;
   Alcotest.(check string) "no-op leaves the artifact alone" "unchanged"
     o2.Service.artifact;
-  Alcotest.(check string) "no-op keeps the digest" o1.Service.digest
-    o2.Service.digest;
+  Alcotest.(check string) "no-op keeps the digest" o1.Service.digest_after
+    o2.Service.digest_after;
   (* Retract takes the KB back to its pre-assert digest. *)
   let o3 = upd svc Service.Retract "Wet(Sam)" in
   Alcotest.(check bool) "retract changed" true o3.Service.changed;
   Alcotest.(check bool) "digest moved" true
-    (o3.Service.digest <> o1.Service.digest);
+    (o3.Service.digest_after <> o1.Service.digest_after);
   let o4 = upd svc Service.Assert "Wet(Sam)" in
   Alcotest.(check string) "assert-retract-assert round-trips the digest"
-    o1.Service.digest o4.Service.digest;
+    o1.Service.digest_after o4.Service.digest_after;
   (* Retracting something absent is a no-op too. *)
   let o5 = upd svc Service.Retract "Dry(Sam)" in
   Alcotest.(check bool) "absent retract is a no-op" false o5.Service.changed
@@ -491,12 +491,14 @@ let test_session_log_and_errors () =
   ignore (upd svc Service.Assert "Wet(Sam)");
   ignore (upd svc Service.Retract "Wet(Sam)");
   (* An ill-formed delta (arity conflict) is rejected atomically. *)
-  let digest_before = (upd svc Service.Assert "Wet(Sam)").Service.digest in
+  let digest_before =
+    (upd svc Service.Assert "Wet(Sam)").Service.digest_after
+  in
   (match Service.update svc Service.Assert (parse "Hep(Eric, Dana)") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "arity-conflicting assert must be an error");
   Alcotest.(check string) "rejected update mutated nothing" digest_before
-    (upd svc Service.Retract "Dry(Sam)").Service.digest;
+    (upd svc Service.Retract "Dry(Sam)").Service.digest_after;
   let log = Service.session_log svc in
   (* load + assert + retract + assert + no-op retract. *)
   Alcotest.(check int) "log length" 5 (List.length log);
@@ -613,6 +615,53 @@ let test_session_artifact_carried () =
   let o2 = upd svc Service.Assert "Wet(Sam)" in
   Alcotest.(check string) "universe change recompiles" "recompiled"
     o2.Service.artifact
+
+(* A cache entry's revalidation history is a fixed-size summary: after
+   k updates it survived, an explained hit shows exactly one
+   [revalidated] fact, counting k — not one fact per update. *)
+let test_session_provenance_bounded () =
+  let svc = Service.create () in
+  (match Service.load_kb_file svc "../examples/kb/hepatitis.kb" with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "load hepatitis.kb: %s" msg);
+  let q = parse "Hep(Eric)" in
+  let explained () =
+    match Service.query_explained svc q with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "explained query failed: %s" msg
+  in
+  let kb0 = (List.hd (Service.session_log svc)).Service.digest_after in
+  ignore (explained ());
+  for i = 1 to 50 do
+    let action = if i mod 2 = 1 then Service.Assert else Service.Retract in
+    let ev = upd svc action "Cough(Zed)" in
+    Alcotest.(check int) "the entry survives every update" 1
+      ev.Service.revalidated
+  done;
+  let r = explained () in
+  Alcotest.check origin "served from the LRU" Service.Cached r.Service.origin;
+  let revalidated =
+    List.filter_map
+      (function
+        | Trace.Fact { tag = "revalidated"; fields } -> Some fields | _ -> None)
+      r.Service.trace
+  in
+  match revalidated with
+  | [ fields ] ->
+    let field k = List.assoc_opt k fields in
+    let short = String.sub kb0 0 12 in
+    Alcotest.(check bool) "count 50" true (field "count" = Some (Trace.I 50));
+    Alcotest.(check bool) "first update is seq 2" true
+      (field "first_seq" = Some (Trace.I 2));
+    Alcotest.(check bool) "last update is seq 51" true
+      (field "last_seq" = Some (Trace.I 51));
+    (* An even number of alternating updates ends on the original KB. *)
+    Alcotest.(check bool) "kb_from is the original digest" true
+      (field "kb_from" = Some (Trace.S short));
+    Alcotest.(check bool) "kb_to is the digest after the last update" true
+      (field "kb_to" = Some (Trace.S short))
+  | fs ->
+    Alcotest.failf "expected one revalidated fact, got %d" (List.length fs)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol / server                                                  *)
@@ -771,4 +820,6 @@ let suite =
     ("server: errors and shutdown", `Quick, test_server_errors_and_shutdown);
     ("service: a budget shorter than the compile still warms the artifact",
      `Quick, test_short_budget_still_compiles);
+    ("session: 50 revalidations leave one summary fact", `Quick,
+     test_session_provenance_bounded);
   ]
