@@ -385,6 +385,67 @@ case $prov_last in
      exit 1 ;;
 esac
 
+# One resident snapshot: two clients stream rules answers (Hep(Eric)
+# and ~Hep(Eric), 200 of each) over --listen while a third alternates
+# 50 asserts and retracts of Wet(Sam). No query waits on a lock, and
+# each answers for the one KB snapshot it read, so every reply must be
+# ok and the rules answers, revalidated across every update, must stay
+# byte-identical to a single session's (modulo the per-reply timing
+# and tier fields). Maxent answers are not compared across states:
+# Jaun(Eric) /\ Hep(Eric) moves in its last bits after that assert.
+snap_dir=$(mktemp -d)
+snap_sock="$snap_dir/rw.sock"
+timeout 60 _build/default/bin/rw.exe serve --listen "$snap_sock" \
+  --kb examples/kb/hepatitis.kb --jobs 2 2> /dev/null &
+snap_pid=$!
+snap_pair='{"op":"query","query":"Hep(Eric)"}
+{"op":"query","query":"~Hep(Eric)"}'
+i=0
+while [ "$i" -lt 200 ]; do
+  printf '%s\n' "$snap_pair"
+  i=$((i + 1))
+done > "$snap_dir/queries.in"
+i=1
+while [ "$i" -le 50 ]; do
+  if [ $((i % 2)) -eq 1 ]; then act=assert; else act=retract; fi
+  echo "{\"op\":\"session_update\",\"action\":\"$act\",\"src\":\"Wet(Sam)\"}"
+  i=$((i + 1))
+done > "$snap_dir/updates.in"
+snap_pids=
+for c in 0 1; do
+  timeout 60 _build/default/bin/rw.exe client "$snap_sock" --retry 10 \
+    < "$snap_dir/queries.in" > "$snap_dir/client$c.out" &
+  snap_pids="$snap_pids $!"
+done
+timeout 60 _build/default/bin/rw.exe client "$snap_sock" --retry 10 \
+  < "$snap_dir/updates.in" > "$snap_dir/updates.out" &
+snap_pids="$snap_pids $!"
+for pid in $snap_pids; do
+  wait "$pid" || { echo "ci: snapshot client failed" >&2; exit 1; }
+done
+echo '{"op":"shutdown"}' \
+  | _build/default/bin/rw.exe client "$snap_sock" --retry 10 > /dev/null
+wait "$snap_pid" \
+  || { echo "ci: snapshot listener did not shut down cleanly" >&2; exit 1; }
+snap_single=$(printf '%s\n' "$snap_pair" \
+  | _build/default/bin/rw.exe serve --kb examples/kb/hepatitis.kb \
+      2> /dev/null | strip_reply | sort -u)
+for c in 0 1; do
+  [ "$(wc -l < "$snap_dir/client$c.out")" -eq 400 ] \
+    || { echo "ci: snapshot client $c missed replies" >&2; exit 1; }
+  got=$(strip_reply < "$snap_dir/client$c.out" | sort -u)
+  if [ "$got" != "$snap_single" ]; then
+    echo "ci: rules answers moved under concurrent updates (client $c)" >&2
+    echo "--- single session ---" >&2; printf '%s\n' "$snap_single" >&2
+    echo "--- client $c ---" >&2; printf '%s\n' "$got" >&2
+    exit 1
+  fi
+done
+snap_ok=$(grep -c '^{"ok":true,' "$snap_dir/updates.out" || true)
+[ "$snap_ok" -eq 50 ] \
+  || { echo "ci: $snap_ok of 50 concurrent updates answered ok" >&2; exit 1; }
+rm -rf "$snap_dir"
+
 # Compiled-KB tier: the compile runs outside the request budget, so a
 # budget shorter than any solve still leaves the artifact resident —
 # three queries against one KB compile it exactly once. (Answer

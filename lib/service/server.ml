@@ -222,7 +222,7 @@ type listener = {
   closing : bool Atomic.t;
       (** set by a [shutdown] request or SIGTERM; polled by the accept
           loop and every connection loop between requests *)
-  lm : Mutex.t;  (** guards the counters and the KB rw-lock below *)
+  lm : Mutex.t;  (** guards the counters *)
   drained : Condition.t;  (** signalled when [active] reaches 0 *)
   mutable active : int;
   mutable total : int;
@@ -230,43 +230,7 @@ type listener = {
   mutable idle_closed : int;
   mutable truncated : int;
   mutable conn_requests : int;
-  (* load_kb swaps the service's (unsynchronised) KB slot, so in
-     listen mode queries take a read lock and load_kb the write lock —
-     many concurrent queries, but never a query racing a KB swap. *)
-  mutable readers : int;
-  mutable writer : bool;
-  rw_cond : Condition.t;
 }
-
-let read_locked st f =
-  Mutex.lock st.lm;
-  while st.writer do
-    Condition.wait st.rw_cond st.lm
-  done;
-  st.readers <- st.readers + 1;
-  Mutex.unlock st.lm;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock st.lm;
-      st.readers <- st.readers - 1;
-      if st.readers = 0 then Condition.broadcast st.rw_cond;
-      Mutex.unlock st.lm)
-    f
-
-let write_locked st f =
-  Mutex.lock st.lm;
-  while st.writer || st.readers > 0 do
-    Condition.wait st.rw_cond st.lm
-  done;
-  st.writer <- true;
-  Mutex.unlock st.lm;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock st.lm;
-      st.writer <- false;
-      Condition.broadcast st.rw_cond;
-      Mutex.unlock st.lm)
-    f
 
 let counted st bump =
   Mutex.lock st.lm;
@@ -301,38 +265,34 @@ let server_json st =
    request's budget is installed there and polled by the engines
    exactly as on the stdio path. Batch items fan out as independent
    futures on the shared pool ([Service.batch_srcs] would run items on
-   the connection thread); stats/persist/shutdown are
-   mutex-guarded and cheap, so they answer from the connection thread
-   directly. *)
+   the connection thread). No query path takes a lock here: each query
+   (and each batch item) answers for the one KB snapshot it read.
+   [load_kb] and [session_update] run on the connection thread — the
+   service's session mutex serialises them, and the revalidation
+   walk's rules rechecks are purely syntactic — and publish the next
+   snapshot when their cache work is done. Stats, persist and shutdown
+   are mutex-guarded and cheap, so they answer from the connection
+   thread directly. *)
 let listen_dispatch st req =
   let id = Protocol.request_id req in
   match req with
   | Protocol.Query _ ->
-    read_locked st (fun () ->
-        Rw_pool.Pool.await
-          (Rw_pool.Pool.async st.pool (fun () ->
-               handle_request st.service req)))
+    Rw_pool.Pool.await
+      (Rw_pool.Pool.async st.pool (fun () -> handle_request st.service req))
   | Protocol.Batch { id; srcs; budget } ->
-    read_locked st (fun () ->
-        let t0 = Rw_prelude.Clock.now () in
-        let futures =
-          List.map
-            (fun qsrc ->
-              Rw_pool.Pool.async st.pool (fun () ->
-                  let t0 = Rw_prelude.Clock.now () in
-                  let r = Service.query_src ?budget st.service qsrc in
-                  (r, (Rw_prelude.Clock.now () -. t0) *. 1000.0)))
-            srcs
-        in
-        let results = List.map Rw_pool.Pool.await futures in
-        let ms = (Rw_prelude.Clock.now () -. t0) *. 1000.0 in
-        batch_reply ?id srcs results ms)
-  | Protocol.Load_kb _ | Protocol.Session_update _ ->
-    (* Both mutate the KB slot and walk the caches: exclusive access,
-       like any writer. The revalidation walk's rules rechecks are
-       purely syntactic — cheap enough for the connection thread. *)
-    write_locked st (fun () -> handle_request st.service req)
-  | Protocol.Session_log _ -> handle_request st.service req
+    let t0 = Rw_prelude.Clock.now () in
+    let futures =
+      List.map
+        (fun qsrc ->
+          Rw_pool.Pool.async st.pool (fun () ->
+              let t0 = Rw_prelude.Clock.now () in
+              let r = Service.query_src ?budget st.service qsrc in
+              (r, (Rw_prelude.Clock.now () -. t0) *. 1000.0)))
+        srcs
+    in
+    let results = List.map Rw_pool.Pool.await futures in
+    let ms = (Rw_prelude.Clock.now () -. t0) *. 1000.0 in
+    batch_reply ?id srcs results ms
   | Protocol.Stats _ -> begin
     Log.info (fun m -> m "stats");
     let stats_json =
@@ -342,7 +302,9 @@ let listen_dispatch st req =
     in
     `Reply (Protocol.ok_reply ?id [ ("stats", stats_json) ])
   end
-  | Protocol.Persist _ | Protocol.Shutdown _ -> handle_request st.service req
+  | Protocol.Load_kb _ | Protocol.Session_update _ | Protocol.Session_log _
+  | Protocol.Persist _ | Protocol.Shutdown _ ->
+    handle_request st.service req
 
 let write_all fd s =
   let b = Bytes.of_string s in
@@ -379,11 +341,16 @@ let frame pending chunk n on_line =
   in
   go 0 0
 
+let max_line_bytes = 1 lsl 20
+
 (* The per-connection loop: select-with-timeout framing so the thread
    can notice [closing] and the idle deadline between reads. One
    request is processed at a time per connection; [closing] is only
    checked between requests, which is exactly the drain contract — an
-   in-flight request always finishes and its reply is flushed. *)
+   in-flight request always finishes and its reply is flushed. A line
+   longer than [max_line_bytes] gets an error reply and the connection
+   is closed, so one connection holds at most that much plus one read
+   of unterminated input. *)
 let conn_loop st fd =
   let chunk = Bytes.create 8192 in
   let pending = Buffer.create 256 in
@@ -391,8 +358,19 @@ let conn_loop st fd =
      idle timeout. *)
   let now = Rw_pool.Budget.now in
   let last_activity = ref (now ()) in
+  let refuse_oversized () =
+    Log.warn (fun m -> m "request line over %d bytes; closing" max_line_bytes);
+    emit_fd fd
+      (Protocol.error_reply
+         (Printf.sprintf "request line exceeds %d bytes; closing connection"
+            max_line_bytes))
+  in
   let process_line line =
-    if String.trim line = "" then `Continue
+    if String.length line > max_line_bytes then begin
+      refuse_oversized ();
+      `Close
+    end
+    else if String.trim line = "" then `Continue
     else begin
       counted st (fun st -> st.conn_requests <- st.conn_requests + 1);
       match decode_line (listen_dispatch st) line with
@@ -443,6 +421,8 @@ let conn_loop st fd =
         end
         else begin
           match frame pending chunk n process_line with
+          | `Continue when Buffer.length pending > max_line_bytes ->
+            refuse_oversized ()
           | `Continue -> loop ()
           | `Close -> ()
         end)
@@ -520,9 +500,6 @@ let listen ?(max_clients = 64) ?idle_timeout ~addr service =
       idle_closed = 0;
       truncated = 0;
       conn_requests = 0;
-      readers = 0;
-      writer = false;
-      rw_cond = Condition.create ();
     }
   in
   (* SIGTERM is a polite shutdown request: the handler only flips the

@@ -47,10 +47,13 @@ val run : ?ic:in_channel -> ?oc:out_channel -> Service.t -> int
     deadlines as on the stdio path, so a request degrades the same way
     in either mode.
     Clients are isolated: a parse error is that client's [ok:false]
-    reply, a disconnect closes that socket, and a line truncated by a
+    reply, a disconnect closes that socket, a line truncated by a
     mid-stream hangup still gets the documented error object before
-    the close. [load_kb] takes a write lock against all in-flight
-    queries (the KB slot itself is unsynchronised).
+    the close, and a line longer than {!max_line_bytes} gets an
+    [ok:false] reply and a close. No query takes a lock: each query
+    answers for the one KB snapshot it read ({!Service}), while
+    [load_kb] and [session_update] publish the next snapshot without
+    waiting for in-flight queries.
 
     Shutdown — a [shutdown] request from any client, or SIGTERM —
     stops the acceptor, lets every connection finish and flush its
@@ -59,6 +62,10 @@ val run : ?ic:in_channel -> ?oc:out_channel -> Service.t -> int
     Per-server counters (active/total/rejected/idle-closed/truncated
     connections, requests served) ride in the [stats] reply under
     ["server"]. *)
+
+val max_line_bytes : int
+(** The longest request line (newline excluded) a listener
+    connection may send: 1 MiB. *)
 
 type addr = Unix_path of string | Tcp of string * int
 

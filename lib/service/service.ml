@@ -91,12 +91,13 @@ let latency_summary l =
         }
       end)
 
-(* The service is shared across domains during a parallel batch, so
-   every piece of state a query touches is synchronised: the cache is
-   the mutex-guarded LRU, the plain counters are atomics, latency has
-   its own lock. The KB fields stay plain mutable — loading a KB while
-   queries are in flight is not supported (the serve loop handles
-   requests one at a time; the batch evaluator never loads). *)
+(* The service is shared across domains, so every piece of state a
+   query touches is synchronised: the cache is the mutex-guarded LRU,
+   the plain counters are atomics, latency has its own lock, and the
+   resident KB is one immutable snapshot behind an atomic. Each query
+   reads the snapshot once and answers for that one state; writers
+   ([load_kb], [update]) serialise on [session_m] and publish a whole
+   new snapshot only after their cache side-effects are done. *)
 (* Cache entries carry the trace of the computation that produced them
    (when one was recorded), so a cached answer can explain itself
    without re-deriving anything. Entries computed with tracing off
@@ -146,6 +147,15 @@ type session_event = {
 
 type update_action = Assert | Retract
 
+(* One resident KB state: the formula, its canonical digest (the
+   prefix of every cache key answered for it) and its conjunct list,
+   the granularity at which sessions assert and retract. *)
+type snapshot = {
+  kb : Syntax.formula;
+  digest : string;
+  conjuncts : Syntax.formula list;
+}
+
 type t = {
   config : config;
   cache : entry Lru.Sync.t;
@@ -163,19 +173,16 @@ type t = {
           the store, probes near-lock-free — safe from pool workers *)
   pool : Rw_pool.Pool.t option;  (** borrowed, like [store] *)
   opts_digest : string;
-  mutable kb : Syntax.formula option;
-  mutable kb_digest : string;
+  resident : snapshot option Atomic.t;
   latency : latency;
   queries : int Atomic.t;
   timeouts : int Atomic.t;
   kb_loads : int Atomic.t;
-  (* Session state: the KB's conjunct list (the unit of assert/retract),
-     the mutation log, and the invalidation counters. All guarded by
-     [session_m]; like [load_kb], mutations concurrent with queries are
-     only safe when the caller serialises them (the listener's write
-     lock does). *)
+  (* Session state: the mutation log and the invalidation counters,
+     guarded by [session_m], which also serialises the writers of
+     [resident]. Queries never take it: each answers for the one
+     snapshot it read, whatever writers publish meanwhile. *)
   session_m : Mutex.t;
-  mutable conjuncts : Syntax.formula list;
   mutable session_log_rev : session_event list;
   mutable session_log_len : int;  (** [List.length session_log_rev] *)
   mutable seq : int;
@@ -228,14 +235,12 @@ let create ?(config = default_config) ?store ?pool () =
     store;
     pool;
     opts_digest = options_fingerprint config.engine_options;
-    kb = None;
-    kb_digest = "";
+    resident = Atomic.make None;
     latency = latency_create ();
     queries = Atomic.make 0;
     timeouts = Atomic.make 0;
     kb_loads = Atomic.make 0;
     session_m = Mutex.create ();
-    conjuncts = [];
     session_log_rev = [];
     session_log_len = 0;
     seq = 0;
@@ -265,14 +270,19 @@ let log_event t ev =
    answer LRU and the compiled-artifact cache with unreachable
    old-digest entries that squat on capacity until recency pressure
    happens to evict them. Reloading the same KB (digest unchanged)
-   keeps everything — the entries are still valid. *)
+   keeps everything — the entries are still valid. A query still
+   answering for the old snapshot may fill an old-digest entry after
+   the reclaim: a correct answer for that state, evicted in time. *)
 let load_kb t kb =
   Mutex.protect t.session_m @@ fun () ->
   let t0 = Rw_prelude.Clock.now () in
-  let before = t.kb_digest in
+  let before =
+    match Atomic.get t.resident with Some s -> s.digest | None -> ""
+  in
   let digest = Canonical.digest kb in
+  let swapped = before <> "" && before <> digest in
   let reclaimed =
-    if before <> "" && before <> digest then begin
+    if swapped then begin
       let prefix = before ^ "|" in
       let n =
         Lru.Sync.remove_if t.cache (fun key _ ->
@@ -284,12 +294,10 @@ let load_kb t kb =
     else 0
   in
   t.swap_reclaimed_total <- t.swap_reclaimed_total + reclaimed;
-  t.kb <- Some kb;
-  t.kb_digest <- digest;
-  (* The KB's conjunct list, the granularity at which sessions assert
-     and retract: the unary analyser's split, so the session's
+  (* The conjunct list is the unary analyser's split, so the session's
      reconstructed [Syntax.conj conjuncts] round-trips structurally. *)
-  t.conjuncts <- Rw_unary.Analysis.split_conjuncts kb;
+  Atomic.set t.resident
+    (Some { kb; digest; conjuncts = Rw_unary.Analysis.split_conjuncts kb });
   Atomic.incr t.kb_loads;
   t.seq <- t.seq + 1;
   log_event t
@@ -302,8 +310,7 @@ let load_kb t kb =
       changed = before <> digest;
       revalidated = 0;
       evicted = reclaimed;
-      artifact =
-        (if before <> "" && before <> digest then "dropped" else "unchanged");
+      artifact = (if swapped then "dropped" else "unchanged");
       elapsed_ms = (Rw_prelude.Clock.now () -. t0) *. 1000.0;
     }
 
@@ -325,13 +332,13 @@ let load_kb_file t path =
   | src -> load_kb_string t src
   | exception Sys_error msg -> Error msg
 
-let kb t = t.kb
+let kb t = Option.map (fun s -> s.kb) (Atomic.get t.resident)
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let cache_key t q = t.kb_digest ^ "|" ^ Canonical.digest q ^ "|" ^ t.opts_digest
+let cache_key t snap q = snap.digest ^ "|" ^ Canonical.digest q ^ "|" ^ t.opts_digest
 
 (* The durable tier. A probe can never serve damage: records are
    CRC-verified before they are indexed at all, and a payload that
@@ -387,8 +394,7 @@ let degraded_answer compiled ~budget q =
    compiles. The compile is the syntactic pass only, so it runs
    outside any request budget. [compile.kb] is the fault point of a
    failed compile: [Hook.Injected] reaches the caller. *)
-let compiled_for t kb =
-  let digest = t.kb_digest in
+let compiled_for t { kb; digest; _ } =
   let module C = Rw_compile.Compiled_kb in
   let fresh () =
     Rw_prelude.Hook.fire "compile.kb";
@@ -407,10 +413,10 @@ let compiled_for t kb =
         | Some _ | None -> fresh ())
 
 let artifact t =
-  match t.kb with
+  match Atomic.get t.resident with
   | None -> None
-  | Some kb -> (
-    match Lru.Sync.find t.compiled t.kb_digest with
+  | Some { kb; digest; _ } -> (
+    match Lru.Sync.find t.compiled digest with
     | Some c when Rw_compile.Compiled_kb.matches c kb -> Some c
     | _ -> None)
 
@@ -475,41 +481,38 @@ let revalidated_fact r =
 (* Apply one assert/retract to the live KB. Deltas are matched against
    the KB's conjunct list by canonical digest, so asserting an
    already-present statement (or retracting an absent one) is a
-   recognised no-op that leaves every cache entry in place. A real
-   change recompiles-or-carries the compiled artifact
-   ({!Rw_compile.Compiled_kb.update}) and walks the old digest's cache
-   entries: disjoint-vocabulary definitive rules answers that recheck
-   identically are re-keyed to the new digest (their revalidation
-   summary counts the update, and they gain a durable-store record
-   under the new key); everything else is evicted. Returns the session
-   event it logs. *)
+   recognised no-op; so is a delta that leaves the KB digest where it
+   was, which publishes only its new conjunct list. Either way every
+   cache entry stays in place. A real change recompiles-or-carries the
+   compiled artifact ({!Rw_compile.Compiled_kb.update}) and walks the
+   old digest's cache entries: disjoint-vocabulary definitive rules
+   answers that recheck identically are re-keyed to the new digest
+   (their revalidation summary counts the update, and they gain a
+   durable-store record under the new key); everything else is evicted.
+   Only then is the new snapshot published, so a query never reads a
+   digest whose artifact and re-keyed entries are not yet in place.
+   Returns the session event it logs. *)
 let update ?src t action f =
   Mutex.protect t.session_m @@ fun () ->
-  match t.kb with
+  match Atomic.get t.resident with
   | None -> Error "no knowledge base loaded"
-  | Some _ -> (
+  | Some snap -> (
     let t0 = Rw_prelude.Clock.now () in
     let src = match src with Some s -> s | None -> Pretty.to_string f in
-    let before = t.kb_digest in
+    let before = snap.digest in
     let action_s = match action with Assert -> "assert" | Retract -> "retract" in
     let delta_conjs = Rw_unary.Analysis.split_conjuncts f in
+    let among fs =
+      let ds = List.map Canonical.digest fs in
+      fun c -> List.mem (Canonical.digest c) ds
+    in
     let conjuncts', delta =
       match action with
       | Assert ->
-        let have = List.map Canonical.digest t.conjuncts in
-        let fresh =
-          List.filter
-            (fun c -> not (List.mem (Canonical.digest c) have))
-            delta_conjs
-        in
-        (t.conjuncts @ fresh, fresh)
+        let fresh = List.filter (Fun.negate (among snap.conjuncts)) delta_conjs in
+        (snap.conjuncts @ fresh, fresh)
       | Retract ->
-        let keys = List.map Canonical.digest delta_conjs in
-        let removed, kept =
-          List.partition
-            (fun c -> List.mem (Canonical.digest c) keys)
-            t.conjuncts
-        in
+        let removed, kept = List.partition (among delta_conjs) snap.conjuncts in
         (kept, removed)
     in
     let record ~digest ~changed ~revalidated ~evicted ~artifact =
@@ -537,73 +540,79 @@ let update ?src t action f =
       log_event t ev;
       Ok ev
     in
-    if delta = [] then
+    let unchanged () =
+      Atomic.set t.resident (Some { snap with conjuncts = conjuncts' });
       record ~digest:before ~changed:false ~revalidated:0 ~evicted:0
         ~artifact:"unchanged"
-    else begin
-      let kb_new = Syntax.conj conjuncts' in
-      match Validate.errors kb_new with
-      | _ :: _ as errs ->
-        (* The delta is structurally incompatible with the resident KB
-           (e.g. reuses a symbol at another arity): refuse it whole,
-           mutating nothing. *)
-        Error
-          (String.concat "\n" (List.map (Fmt.str "%a" Validate.pp_issue) errs))
-      | [] ->
-        let after = Canonical.digest kb_new in
-        let module C = Rw_compile.Compiled_kb in
-        (* Artifact first: delta-aware recompile, carrying the solved
-           maxent cells and memo tables across deltas that leave the
-           optimisation problem untouched (evidence-only updates). *)
-        let artifact, carried =
-          match (Lru.Sync.find t.compiled before, t.kb) with
-          | Some c, Some kb_old when C.matches c kb_old -> C.update c kb_new
-          | _ -> (C.compile kb_new, false)
-        in
-        ignore (Lru.Sync.remove_if t.compiled (fun k _ -> k = before));
-        Lru.Sync.add t.compiled after artifact;
-        if carried then t.artifact_carries <- t.artifact_carries + 1
+    in
+    let kb_new = Syntax.conj conjuncts' in
+    let digest_new =
+      if delta = [] then Ok before
+      else
+        match Validate.errors kb_new with
+        | [] -> Ok (Canonical.digest kb_new)
+        | errs ->
+          (* The delta is structurally incompatible with the resident
+             KB (e.g. reuses a symbol at another arity): refuse it
+             whole, mutating nothing. *)
+          Error
+            (String.concat "\n" (List.map (Fmt.str "%a" Validate.pp_issue) errs))
+    in
+    match digest_new with
+    | Error msg -> Error msg
+    | Ok after when after = before -> unchanged ()
+    | Ok after ->
+      let module C = Rw_compile.Compiled_kb in
+      (* Artifact first: delta-aware recompile, carrying the solved
+         maxent cells and memo tables across deltas that leave the
+         optimisation problem untouched (evidence-only updates). *)
+      let artifact, carried =
+        match Lru.Sync.find t.compiled before with
+        | Some c when C.matches c snap.kb -> C.update c kb_new
+        | _ -> (C.compile kb_new, false)
+      in
+      ignore (Lru.Sync.remove_if t.compiled (fun k _ -> k = before));
+      Lru.Sync.add t.compiled after artifact;
+      if carried then t.artifact_carries <- t.artifact_carries + 1
+      else begin
+        Atomic.incr t.compiles;
+        Mutex.protect t.compile_m (fun () ->
+            t.compile_ms_total <- t.compile_ms_total +. C.compile_ms artifact)
+      end;
+      (* The invalidation walk over the old digest's entries. *)
+      let dvocab = Vocab.of_formulas delta in
+      let prefix = before ^ "|" in
+      let plen = String.length prefix in
+      let next_seq = t.seq + 1 in
+      let revalidate key (e : entry) =
+        if not (Vocab.disjoint dvocab e.qvocab) then None
+        else if not (rules_definitive e.answer) then None
         else begin
-          Atomic.incr t.compiles;
-          Mutex.protect t.compile_m (fun () ->
-              t.compile_ms_total <- t.compile_ms_total +. C.compile_ms artifact)
-        end;
-        (* The invalidation walk over the old digest's entries. *)
-        let dvocab = Vocab.of_formulas delta in
-        let prefix = before ^ "|" in
-        let plen = String.length prefix in
-        let next_seq = t.seq + 1 in
-        let revalidate key (e : entry) =
-          if not (Vocab.disjoint dvocab e.qvocab) then None
-          else if not (rules_definitive e.answer) then None
-          else begin
-            let a = Rules_engine.infer artifact e.query in
-            if a = e.answer then begin
-              let key' =
-                after ^ "|" ^ String.sub key plen (String.length key - plen)
-              in
-              let e' =
-                {
-                  e with
-                  revalidations =
-                    Some
-                      (note_revalidation ~seq:next_seq ~before ~after
-                         e.revalidations);
-                }
-              in
-              store_put t key' e';
-              Some (key', e')
-            end
-            else None
+          let a = Rules_engine.infer artifact e.query in
+          if a = e.answer then begin
+            let key' =
+              after ^ "|" ^ String.sub key plen (String.length key - plen)
+            in
+            let e' =
+              {
+                e with
+                revalidations =
+                  Some
+                    (note_revalidation ~seq:next_seq ~before ~after
+                       e.revalidations);
+              }
+            in
+            store_put t key' e';
+            Some (key', e')
           end
-        in
-        let revalidated, evicted = Lru.Sync.remap t.cache ~prefix revalidate in
-        t.kb <- Some kb_new;
-        t.kb_digest <- after;
-        t.conjuncts <- conjuncts';
-        record ~digest:after ~changed:true ~revalidated ~evicted
-          ~artifact:(if carried then "carried" else "recompiled")
-    end)
+          else None
+        end
+      in
+      let revalidated, evicted = Lru.Sync.remap t.cache ~prefix revalidate in
+      Atomic.set t.resident
+        (Some { kb = kb_new; digest = after; conjuncts = conjuncts' });
+      record ~digest:after ~changed:true ~revalidated ~evicted
+        ~artifact:(if carried then "carried" else "recompiled"))
 
 let update_src t action src =
   match Kb_file.of_string src with
@@ -660,24 +669,26 @@ let cache_fact outcome key =
    the request's artifact, which depends on the clock and so is neither
    cached nor persisted. A failed compile leaves no artifact to degrade
    to: the request fails with an error and nothing is cached or
-   persisted. *)
+   persisted. The resident snapshot is read once, at entry: key,
+   artifact and engine input all come from that one state, so the
+   answer is that state's whatever writers publish meanwhile. *)
 let ladder ?budget ?trace t q =
-  match t.kb with
+  match Atomic.get t.resident with
   | None -> Error "no knowledge base loaded"
-  | Some kb ->
+  | Some snap ->
     let budget =
       match budget with Some _ as b -> b | None -> t.config.budget
     in
     let t0 = Rw_prelude.Clock.now () in
     Atomic.incr t.queries;
-    let key = cache_key t q in
+    let key = cache_key t snap q in
     (* The new entry is persisted here and cached by the caller, which
        may carry a summary into it. An expiry is [Error] with the
        artifact the degraded answer reads. *)
     let dispatch outcome =
       Option.iter (fun tr -> Trace.add tr (cache_fact outcome key)) trace;
-      let compiled = compiled_for t kb in
-      match run_engine ?trace ?budget t compiled ~kb q with
+      let compiled = compiled_for t snap in
+      match run_engine ?trace ?budget t compiled ~kb:snap.kb q with
       | None -> Error compiled
       | Some a ->
         let e = mk_entry q a (Option.map Trace.events trace) in

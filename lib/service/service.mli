@@ -28,8 +28,14 @@
 
     A {!t} is domain-safe: the answer cache, latency ring and counters
     are synchronised, so {!batch} can fan queries out across a domain
-    pool. The one exception is the KB slot — loading a KB concurrently
-    with in-flight queries is not supported.
+    pool, and the resident KB is one immutable snapshot (formula,
+    canonical digest, conjunct list) published atomically. Each query
+    answers for the one snapshot it read. {!load_kb} and {!update} may
+    run concurrently with queries; they serialise among themselves and
+    publish the next snapshot once their cache work is done. A query
+    still answering for the previous snapshot may cache its answer
+    after that: every cache key starts with the KB digest, so the entry
+    is correct for the state it names.
 
     Answers served from the cache are the very same {!Answer.t} values
     the engine produced — byte-identical verdicts, by construction.
@@ -87,9 +93,8 @@
     solved maxent cells and memo tables over instead of
     re-solving. Every mutation (including full {!load_kb} swaps)
     appends to a {!session_log}; {!stats} aggregates the session
-    counters. Like {!load_kb}, updates concurrent with in-flight
-    queries are not supported on the raw API — the serve listener
-    serialises them behind its write lock. *)
+    counters. Updates need no lock against queries: each query answers
+    for the one snapshot it read. *)
 
 open Rw_logic
 open Randworlds
@@ -180,8 +185,9 @@ type session_event = {
   digest_after : string;
   changed : bool;
       (** [false] for a canonical no-op — asserting an already-present
-          statement, retracting an absent one, or reloading the same
-          KB; nothing was evicted *)
+          statement, retracting an absent one, a delta that leaves the
+          canonical KB digest where it was, or reloading the same KB;
+          nothing was evicted *)
   revalidated : int;  (** cache entries re-keyed to the new digest *)
   evicted : int;
       (** cache entries invalidated by the delta, or reclaimed by a
@@ -270,9 +276,11 @@ val batch :
   t ->
   Syntax.formula list ->
   (Answer.t * origin, string) result list
-(** The batch evaluator: every query runs against the same resident
-    KB, sharing its digest, validation, and the cache — the KB is
-    loaded and keyed once for the whole batch. Items fan out on the
+(** The batch evaluator: every query runs against the resident KB,
+    sharing its digest, validation, and the cache — the KB is loaded
+    and keyed once for the whole batch. Each item answers for the
+    snapshot it read, so an update published mid-batch reaches only
+    the items that start after it. Items fan out on the
     service's pool, if it has one; results stay in input order, and
     each item's budget is enforced by deadline polling on whichever
     domain runs it. Batches shorter than [config.parallel_threshold]

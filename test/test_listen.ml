@@ -550,6 +550,110 @@ let test_frame_any_split () =
   | `Continue -> Alcotest.fail "framing ignored `Close");
   Alcotest.(check (list string)) "close stops framing" [ "a" ] !seen
 
+(* Updates beside query streams: two connections query nonstop while a
+   third sends 50 alternating updates of a statement the queries
+   overlap. No lock stands between queries and updates, so every reply
+   is ok and each update is answered within a generous 1 s; the
+   session log counts the load plus the 50 updates. *)
+let ok_of reply =
+  match Json.of_string reply with
+  | Ok j -> Json.member "ok" j = Some (Json.Bool true)
+  | Error _ -> false
+
+let test_updates_beside_query_streams () =
+  let svc = make_service () in
+  let l = start_listener svc in
+  let stop = Atomic.make false in
+  let streams =
+    List.init 2 (fun i ->
+        let replies = ref 0 and bad = ref [] in
+        let th =
+          Thread.create
+            (fun () ->
+              let fd = connect l.path in
+              let mine = "Hep(Dana)" :: queries in
+              let mine = if i = 0 then mine else List.rev mine in
+              while not (Atomic.get stop) do
+                List.iter
+                  (fun q ->
+                    let r = request fd (query_line q) in
+                    incr replies;
+                    if not (ok_of r) then bad := r :: !bad)
+                  mine
+              done;
+              close fd)
+            ()
+        in
+        (th, replies, bad))
+  in
+  let fd = connect l.path in
+  let slowest = ref 0.0 in
+  for i = 1 to 50 do
+    let action = if i mod 2 = 1 then "assert" else "retract" in
+    let t0 = Unix.gettimeofday () in
+    let r =
+      request fd
+        (Printf.sprintf
+           {|{"op":"session_update","action":"%s","src":"Jaun(Dana)"}|} action)
+    in
+    slowest := Float.max !slowest (Unix.gettimeofday () -. t0);
+    Alcotest.(check bool) (Printf.sprintf "update %d ok" i) true (ok_of r)
+  done;
+  Atomic.set stop true;
+  List.iter
+    (fun (th, replies, bad) ->
+      Thread.join th;
+      Alcotest.(check bool) "query stream ran" true (!replies > 0);
+      Alcotest.(check (list string)) "every query reply ok" [] !bad)
+    streams;
+  Alcotest.(check bool)
+    (Printf.sprintf "slowest update reply %.3fs under 1s" !slowest)
+    true (!slowest < 1.0);
+  (match Json.of_string (request fd {|{"op":"session_log"}|}) with
+  | Ok j ->
+    Alcotest.(check (option int))
+      "load + 50 updates logged" (Some 51)
+      (Option.bind (Json.member "count" j) Json.to_int)
+  | Error msg -> Alcotest.failf "session_log reply: %s" msg);
+  close fd;
+  shutdown_server l.path;
+  Thread.join l.thread
+
+(* Bounded framing: a line of exactly [max_line_bytes] is served; one
+   byte more gets an ok:false reply and the connection is closed,
+   while the server stays up for the next client. *)
+let test_oversized_line () =
+  let svc = make_service () in
+  let l = start_listener svc in
+  let fd = connect l.path in
+  let stats = {|{"op":"stats"|} in
+  let at_cap =
+    stats ^ String.make (Server.max_line_bytes - String.length stats - 1) ' '
+    ^ "}"
+  in
+  Alcotest.(check bool) "a line at the cap is served" true
+    (ok_of (request fd at_cap));
+  (* The server may close before it reads the newline. *)
+  (try send fd (String.make (Server.max_line_bytes + 1) 'x')
+   with Unix.Unix_error _ -> ());
+  (match recv fd with
+  | None -> Alcotest.fail "oversized line dropped without a reply"
+  | Some reply ->
+    Alcotest.(check bool) "oversized line is ok:false with an error" true
+      (match Json.of_string reply with
+      | Ok j ->
+        Json.member "ok" j = Some (Json.Bool false)
+        && Option.is_some (Json.member "error" j)
+      | Error _ -> false));
+  Alcotest.(check bool) "connection closed" true (recv fd = None);
+  close fd;
+  let fd2 = connect l.path in
+  Alcotest.(check bool) "server survives an oversized line" true
+    (ok_of (request fd2 (query_line "Hep(Eric)")));
+  close fd2;
+  shutdown_server l.path;
+  Thread.join l.thread
+
 let suite =
   [
     ("listen: 4 concurrent clients, compile-once, identical answers",
@@ -567,4 +671,8 @@ let suite =
       `Quick, test_shutdown_persists_store);
     ("listen: framing is the same at every read split",
       `Quick, test_frame_any_split);
+    ("listen: 50 updates beside two query streams, all ok and prompt",
+      `Quick, test_updates_beside_query_streams);
+    ("listen: an oversized line gets ok:false and a close",
+      `Quick, test_oversized_line);
   ]

@@ -773,6 +773,70 @@ let test_server_errors_and_shutdown () =
   | `Reply j ->
     Alcotest.failf "shutdown did not quit: %s" (Json.to_string j))
 
+(* The raw API under concurrent updates. Two domains query a fixed set
+   while a third asserts and retracts an overlapping statement 200
+   times. Each query answers for the one snapshot it read, so every
+   answer must be one of the two states' sequential answers. Afterwards
+   each state, queried again from its cache, must give exactly its own
+   answers: no answer was filed under the other state's digest. *)
+let test_concurrent_updates_answer_one_state () =
+  let qs =
+    List.map parse
+      [ "Hep(Eric)"; "~Hep(Eric)"; "Hep(Dana)"; "Jaun(Dana)";
+        "Hep(Dana) /\\ Jaun(Dana)" ]
+  in
+  let delta = "Jaun(Dana)" in
+  let answers svc = List.map (fun q -> fst (ask svc q)) qs in
+  let ref_a = answers (hep_service ()) in
+  let ref_b =
+    let svc = hep_service () in
+    ignore (upd svc Service.Assert delta);
+    answers svc
+  in
+  Alcotest.(check bool) "the delta moves some answer" true (ref_a <> ref_b);
+  let svc = hep_service () in
+  let stop = Atomic.make false in
+  let querier () =
+    let strays = ref [] and rounds = ref 0 in
+    while not (Atomic.get stop) do
+      List.iteri
+        (fun i q ->
+          match Service.query svc q with
+          | Ok (a, _) when a = List.nth ref_a i || a = List.nth ref_b i -> ()
+          | Ok (a, _) ->
+            strays :=
+              Fmt.str "%s: %a" (Pretty.to_string q) Answer.pp_result
+                a.Answer.result
+              :: !strays
+          | Error msg -> strays := msg :: !strays)
+        qs;
+      incr rounds
+    done;
+    (!rounds, !strays)
+  in
+  let queriers = List.init 2 (fun _ -> Domain.spawn querier) in
+  let updater =
+    Domain.spawn (fun () ->
+        List.init 200 (fun i ->
+            let action = if i mod 2 = 0 then Service.Assert else Service.Retract in
+            match Service.update svc action (parse delta) with
+            | Ok ev -> ev.Service.changed
+            | Error _ -> false))
+  in
+  let changed = Domain.join updater in
+  Atomic.set stop true;
+  List.iter
+    (fun d ->
+      let rounds, strays = Domain.join d in
+      Alcotest.(check bool) "querier ran" true (rounds > 0);
+      Alcotest.(check (list string)) "every answer is one state's" [] strays)
+    queriers;
+  Alcotest.(check int) "all 200 updates changed the KB" 200
+    (List.length (List.filter Fun.id changed));
+  Alcotest.(check bool) "state A again: its own answers" true (answers svc = ref_a);
+  ignore (upd svc Service.Assert delta);
+  Alcotest.(check bool) "state B again: its own answers" true (answers svc = ref_b)
+
 let suite =
   [
     ("canonical: alpha renaming", `Quick, test_canon_alpha);
@@ -822,4 +886,6 @@ let suite =
      `Quick, test_short_budget_still_compiles);
     ("session: 50 revalidations leave one summary fact", `Quick,
      test_session_provenance_bounded);
+    ("session: queries racing 200 updates each answer for one state", `Quick,
+     test_concurrent_updates_answer_one_state);
   ]
