@@ -1230,7 +1230,8 @@ let sim_cmd =
          $(b,--seed)/$(b,--steps)/$(b,--faults) produce byte-identical \
          output on any machine at any pool width, and the trailing digest \
          line makes the comparison one string. Failing sequences are \
-         greedily minimized; $(b,--corpus) pins them as .sim files the \
+         greedily minimized, for at most 200 replays or 60 seconds, \
+         whichever ends first; $(b,--corpus) pins them as .sim files the \
          test suite replays.";
       `S Manpage.s_exit_status;
       `P

@@ -52,13 +52,23 @@ dune exec bin/rw.exe -- fuzz --seed 42 --cases 500 --oracle update \
 #    failed fan-out submissions, crash-restarts — must hold every
 #    invariant (exit 0; seed 3 was chosen because all five catalog
 #    points fire within it, which test_sim.ml also pins).
-dune exec bin/rw.exe -- sim --seed 3 --steps 300 --faults --max-size 4 \
-  > /dev/null
+# Each sim step runs under `timeout`, like the snapshot step below: a
+# failing run goes on to shrink its op sequence, and a shrink that
+# outlives its own deadline must fail the gate, not stall it.
+timeout 300 _build/default/bin/rw.exe sim --seed 3 --steps 300 --faults \
+  --max-size 4 > /dev/null \
+  || { echo "ci: sim fault sweep failed or timed out (exit $?)" >&2; exit 1; }
 # 2. Determinism: the same 200-step run twice must produce a
 #    byte-identical event log — digests, origins, fault firings, the
 #    summary line, everything.
-sim1=$(dune exec bin/rw.exe -- sim --seed 42 --steps 200 --max-size 4)
-sim2=$(dune exec bin/rw.exe -- sim --seed 42 --steps 200 --max-size 4)
+sim1=$(timeout 300 _build/default/bin/rw.exe sim --seed 42 --steps 200 \
+  --max-size 4) \
+  || { echo "ci: sim determinism run 1 failed or timed out (exit $?)" >&2
+       exit 1; }
+sim2=$(timeout 300 _build/default/bin/rw.exe sim --seed 42 --steps 200 \
+  --max-size 4) \
+  || { echo "ci: sim determinism run 2 failed or timed out (exit $?)" >&2
+       exit 1; }
 [ "$sim1" = "$sim2" ] \
   || { echo "ci: sim event log is not deterministic" >&2; exit 1; }
 # 3. Seed validation (shared with fuzz): an overflowing --seed is a

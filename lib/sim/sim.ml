@@ -487,20 +487,27 @@ let still_fails ~target ops =
     (fun (_, vl) -> List.mem vl.Invariant.invariant target)
     r.violations
 
-(* Greedy to a fixpoint, fuel-bounded like the fuzzer's shrinker: each
-   replay is a whole run, so the budget caps worst-case wall clock. *)
+(* How long {!shrink} may replay for, in seconds. *)
+let shrink_seconds = 60.0
+
+(* Greedy to a fixpoint, bounded twice: by replay fuel like the
+   fuzzer's shrinker, and by a wall-clock deadline, because a replay is
+   a whole run and can take seconds, so fuel alone does not bound the
+   time. The deadline is checked before each replay. *)
 let shrink ops report =
   let target = violation_classes report in
   if target = [] then ops
   else begin
     let fuel = ref 200 in
+    let deadline = Rw_prelude.Clock.now () +. shrink_seconds in
+    let live () = !fuel > 0 && Rw_prelude.Clock.now () < deadline in
     let attempt cand = decr fuel; still_fails ~target cand in
     (* Phase 1: drop whole ops. *)
     let rec drop_pass ops =
       let changed = ref false in
       let ops = ref ops in
       let i = ref 0 in
-      while !i < List.length !ops && !fuel > 0 do
+      while !i < List.length !ops && live () do
         let cand = List.filteri (fun j _ -> j <> !i) !ops in
         if cand <> [] && attempt cand then begin
           ops := cand;
@@ -508,7 +515,7 @@ let shrink ops report =
         end
         else incr i
       done;
-      if !changed && !fuel > 0 then drop_pass !ops else !ops
+      if !changed && live () then drop_pass !ops else !ops
     in
     (* Phase 2: thin multi-formula payloads one conjunct at a time. *)
     let rec thin_pass ops =
@@ -516,7 +523,7 @@ let shrink ops report =
       let try_thin idx rebuild fs =
         let out = ref fs in
         let j = ref 0 in
-        while !j < List.length !out && List.length !out > 1 && !fuel > 0 do
+        while !j < List.length !out && List.length !out > 1 && live () do
           let cand_fs = List.filteri (fun k _ -> k <> !j) !out in
           let cand =
             List.mapi (fun k o -> if k = idx then rebuild cand_fs else o) ops
@@ -540,7 +547,7 @@ let shrink ops report =
             | op -> op)
           ops
       in
-      if !changed && !fuel > 0 then thin_pass ops else ops
+      if !changed && live () then thin_pass ops else ops
     in
     thin_pass (drop_pass ops)
   end

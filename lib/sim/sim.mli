@@ -67,9 +67,13 @@ val replay : ?store_path:string -> Op.t list -> report
 val shrink : Op.t list -> report -> Op.t list
 (** Greedy minimization: repeatedly drop ops (then single KB conjuncts
     inside [Load_kb]/[Batch] payloads) while a violation of the same
-    invariant class as in [report] still reproduces, to a fixpoint or
-    the replay-fuel bound. Returns the original sequence when the
-    report has no violations. *)
+    invariant class as in [report] still reproduces, to a fixpoint, to
+    200 replays, or to 60 seconds of monotonic wall clock
+    ({!Rw_prelude.Clock}), whichever comes first. The deadline is
+    checked before each replay, so one replay can overrun it. A bound
+    that stops it returns the smallest failing sequence found so far —
+    which, when the deadline stopped it, depends on the host's speed.
+    Returns the original sequence when the report has no violations. *)
 
 (** {2 Corpus files}
 

@@ -21,12 +21,19 @@
     - {b Recovery.} {!open_} scans the log front to back, rebuilding
       the key → offset index (later records for a key shadow earlier
       ones — an overwrite is just an append). The scan validates every
-      CRC, so a record it indexes can never be served corrupt.
+      CRC, so a record it indexes can never be served corrupt. It is
+      one sequential pass through a fixed 64 KiB window (an input
+      channel's buffer, refilled by one [read] per 64 KiB): each record
+      is copied out into one reusable record buffer, which grows only
+      for a record larger than itself, and checksummed there. The
+      index keeps each key with its payload's offset and length packed
+      into one int, so a log is limited to 16 GiB.
     - {b Compaction.} Superseded records are dead weight; {!compact}
-      rewrites the live entries into a fresh generation file beside
-      the log and atomically [rename]s it over the old one — a crash
-      during compaction leaves either the old generation or the new
-      one, both complete.
+      rewrites the live entries, through one 64 KiB output buffer,
+      into a fresh generation file beside the log, [fsync]s it and
+      atomically
+      [rename]s it over the old one — a crash during compaction leaves
+      either the old generation or the new one, both complete.
 
     Concurrency: appends are serialized behind a writer lock (the log
     has one tail); reads never wait on an appender's I/O — a lookup
@@ -53,7 +60,7 @@ val open_ : ?fsync:bool -> string -> (t * open_report, string) result
     [false]) forces an [fsync] after every append: crash-safety
     against power loss rather than just process death, at a large
     per-append cost. Errors (permissions, a directory, a foreign
-    magic) are returned, not raised. *)
+    magic, a log over 16 GiB) are returned, not raised. *)
 
 val close : t -> unit
 (** Flush and close both descriptors. Idempotent; using [t] after
@@ -71,9 +78,11 @@ val mem : t -> string -> bool
 val add : t -> string -> string -> unit
 (** Append a record and index it. An existing key is shadowed (the
     old record becomes dead until {!compact}). Raises [Sys_error] on
-    I/O failure and [Invalid_argument] on an over-long key
+    I/O failure, [Invalid_argument] on an over-long key
     ([> 65535] bytes) or payload ([>= 256 MiB] — both far beyond any
-    digest/answer this tree produces). *)
+    digest/answer this tree produces), and [Failure] when the record
+    would take the log past 16 GiB (the index packs each payload's
+    offset and length into one int). *)
 
 val length : t -> int
 (** Live (distinct-key) record count. *)
@@ -130,4 +139,8 @@ val verify : string -> (verify_report, string) result
 
 val crc32 : ?crc:int32 -> bytes -> pos:int -> len:int -> int32
 (** The store's CRC-32 (IEEE 802.3, reflected, the zlib polynomial),
-    exposed so tests can forge and corrupt records deliberately. *)
+    exposed so tests can forge and corrupt records deliberately.
+    [?crc] (default [0l]) continues a previous value, so a CRC over
+    two chained calls equals the CRC over the concatenation. Computed
+    four bytes at a time (slicing-by-4). Raises [Invalid_argument]
+    when [len > 0] and [pos]/[len] leave the buffer. *)

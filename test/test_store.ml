@@ -279,6 +279,309 @@ let test_store_hit_trace () =
   | Error msg -> Alcotest.failf "restart query: %s" msg);
   Store.close t
 
+(* ------------------------------------------------------------------ *)
+(* The recovery window                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The recovery scan reads the log through a 64 KiB window starting
+   after the 8-byte magic, so the first window ends at this offset.
+   The logs below put one record across that boundary (its bytes come
+   from two window fills) and one record larger than the window (it
+   spans several fills and grows the scan's record buffer). *)
+let first_window_end = 8 + 65536
+
+let payload_of ~seed n =
+  String.init n (fun i -> Char.chr ((i * 31 + seed) land 0xFF))
+
+(* Append [(key, payload)]s to a fresh log; returns the path, the
+   file image and each record's start offset. *)
+let build_log records =
+  let path = temp_path () in
+  let t, _ = open_exn path in
+  let starts =
+    List.map
+      (fun (key, payload) ->
+        let start = file_bytes t in
+        Store.add t key payload;
+        start)
+      records
+  in
+  Store.close t;
+  (path, read_file path, starts)
+
+(* A bit-at-a-time CRC-32 (reflected, polynomial 0xEDB88320): the
+   definition the table-driven [Store.crc32] must agree with. *)
+let crc32_bitwise ?(crc = 0l) buf ~pos ~len =
+  let c = ref (lnot (Int32.to_int crc) land 0xFFFF_FFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get buf i);
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (lnot !c land 0xFFFF_FFFF)
+
+(* What [Store.verify] reported before the scan read through a window:
+   the record-at-a-time walk over the whole image, with the bitwise
+   CRC. The window tests hold the windowed scan to it. *)
+let reference_verify image =
+  let size = String.length image in
+  let u32 off = Int32.to_int (String.get_int32_le image off) in
+  let seen = Hashtbl.create 16 and dead = ref 0 in
+  let rec go off total =
+    if off + 8 > size then (off, total, 0)
+    else
+      let klen = u32 off and plen = u32 (off + 4) in
+      if klen <= 0 || klen > 65535 || plen < 0 || plen > (1 lsl 28) - 1 then
+        (off, total, 0)
+      else if off + 8 + klen + plen + 4 > size then (off, total, 0)
+      else
+        let body = Bytes.of_string (String.sub image off (8 + klen + plen)) in
+        if
+          crc32_bitwise body ~pos:0 ~len:(8 + klen + plen)
+          <> String.get_int32_le image (off + 8 + klen + plen)
+        then (off, total, 1)
+        else begin
+          let key = String.sub image (off + 8) klen in
+          if Hashtbl.mem seen key then incr dead
+          else Hashtbl.replace seen key ();
+          go (off + 8 + klen + plen + 4) (total + 1)
+        end
+  in
+  let valid, total, failures = go 8 0 in
+  {
+    Store.total_records = total;
+    live_records = Hashtbl.length seen;
+    dead_records = !dead;
+    file_bytes = size;
+    valid_prefix_bytes = valid;
+    checksum_failures = failures;
+    torn_tail_bytes = size - valid;
+  }
+
+let verify_report =
+  Alcotest.testable
+    (fun ppf (r : Store.verify_report) ->
+      Fmt.pf ppf
+        "{total=%d live=%d dead=%d file=%d valid=%d crc_failures=%d torn=%d}"
+        r.total_records r.live_records r.dead_records r.file_bytes
+        r.valid_prefix_bytes r.checksum_failures r.torn_tail_bytes)
+    ( = )
+
+let check_verify_matches_reference what path =
+  match Store.verify path with
+  | Error msg -> Alcotest.failf "%s: verify failed: %s" what msg
+  | Ok r ->
+    Alcotest.check verify_report (what ^ ": verify matches the reference scan")
+      (reference_verify (read_file path)) r
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+(* Cut the log at every byte from [prefix] (the start of the record
+   under test) to [full - 1]; each open must recover exactly
+   [recovered] records, count the torn bytes and truncate the file
+   back to [prefix]. The victim file is rebuilt by appending to the
+   truncated prefix, so each cut costs only the torn bytes. *)
+let cut_matrix ~image ~prefix ~full ~recovered ~probe:(probe_key, probe_payload)
+    =
+  let victim = temp_path () in
+  write_file victim (String.sub image 0 prefix);
+  for cut = prefix to full - 1 do
+    let fd = Unix.openfile victim [ Unix.O_WRONLY; Unix.O_APPEND ] 0 in
+    ignore (Unix.write_substring fd image prefix (cut - prefix));
+    Unix.close fd;
+    let t, report = open_exn victim in
+    if report.Store.recovered <> recovered then
+      Alcotest.failf "cut %d: recovered %d records, want %d" cut
+        report.Store.recovered recovered;
+    if report.Store.truncated_bytes <> cut - prefix then
+      Alcotest.failf "cut %d: %d torn bytes counted, want %d" cut
+        report.Store.truncated_bytes (cut - prefix);
+    if Store.find t probe_key <> Some probe_payload then
+      Alcotest.failf "cut %d: record %S before the cut not served" cut
+        probe_key;
+    Store.close t;
+    if file_size victim <> prefix then
+      Alcotest.failf "cut %d: file is %d bytes, want it truncated to %d" cut
+        (file_size victim) prefix
+  done
+
+let straddle_records =
+  [
+    ("w-00", payload_of ~seed:0 100);
+    (* Ends 120 bytes before the first window does: 124 + 16 + 4 +
+       65 280 = 65 424. *)
+    ("w-01", payload_of ~seed:1 65_280);
+    ("w-02", payload_of ~seed:2 300);
+    ("w-03", payload_of ~seed:3 50);
+  ]
+
+let test_window_straddle_cuts () =
+  let _, image, starts = build_log straddle_records in
+  let start = List.nth starts 2 and stop = List.nth starts 3 in
+  Alcotest.(check bool)
+    "w-02 straddles the first window" true
+    (start < first_window_end && stop > first_window_end);
+  cut_matrix ~image ~prefix:start ~full:stop ~recovered:2
+    ~probe:(List.nth straddle_records 1)
+
+(* A record larger than the window, behind two small ones. 68 KiB
+   rather than something larger: each cut rewrites and rescans the
+   torn record. *)
+let large_records =
+  [
+    ("big-0", payload_of ~seed:4 100);
+    ("big-1", payload_of ~seed:5 40);
+    ("big-L", payload_of ~seed:6 (65_536 + 4096));
+  ]
+
+let test_large_record_cuts () =
+  let _, image, starts = build_log large_records in
+  let prefix = List.nth starts 2 in
+  let full = String.length image in
+  Alcotest.(check bool) "big-L is larger than the window" true
+    (full - prefix > 65_536);
+  cut_matrix ~image ~prefix ~full ~recovered:2
+    ~probe:(List.nth large_records 1)
+
+(* Straddling records, a 200 KiB record and records behind it. *)
+let mixed_records =
+  straddle_records
+  @ [
+      ("w-big", payload_of ~seed:7 (200 * 1024));
+      ("w-05", payload_of ~seed:8 20);
+    ]
+
+let test_window_corruption () =
+  let path, image, starts = build_log mixed_records in
+  let full = String.length image in
+  let t, report = open_exn path in
+  Alcotest.(check int) "clean open recovers every record"
+    (List.length mixed_records) report.Store.recovered;
+  Alcotest.(check int) "clean open truncates nothing" 0
+    report.Store.truncated_bytes;
+  List.iter
+    (fun (key, payload) ->
+      Alcotest.(check bool) (key ^ " served whole") true
+        (Store.find t key = Some payload))
+    mixed_records;
+  Store.close t;
+  check_verify_matches_reference "clean log" path;
+  (* Flip one byte inside record [i] (at [delta] from its start): both
+     scans must stop at that record and nowhere else. *)
+  let flip i delta =
+    let what = Printf.sprintf "record %d byte %d flipped" i delta in
+    let start = List.nth starts i in
+    let damaged = Bytes.of_string image in
+    let pos = start + delta in
+    Bytes.set damaged pos
+      (Char.chr (Char.code (Bytes.get damaged pos) lxor 0xFF));
+    let victim = temp_path () in
+    write_file victim (Bytes.to_string damaged);
+    check_verify_matches_reference what victim;
+    (match Store.verify victim with
+    | Ok r ->
+      Alcotest.(check int) (what ^ ": verify stops there") start
+        r.Store.valid_prefix_bytes
+    | Error msg -> Alcotest.failf "%s: %s" what msg);
+    let t, report = open_exn victim in
+    Alcotest.(check int) (what ^ ": open recovers the records before it") i
+      report.Store.recovered;
+    Alcotest.(check int) (what ^ ": open drops the rest") (full - start)
+      report.Store.truncated_bytes;
+    List.iteri
+      (fun j (key, payload) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s %s" what key
+             (if j < i then "served" else "gone"))
+          true
+          (Store.find t key = if j < i then Some payload else None))
+      mixed_records;
+    Store.close t;
+    Alcotest.(check int) (what ^ ": file truncated") start (file_size victim)
+  in
+  let w03 = 3 and big = 4 and w05 = 5 in
+  Alcotest.(check bool) "w-03 lies past the first window" true
+    (List.nth starts w03 > first_window_end);
+  flip w03 10;
+  flip big 8;
+  flip big 150_000;
+  flip w05 (8 + 4 + 3);
+  (* A garbage length word past the window: framing, not CRC, stops
+     the scan. *)
+  let damaged = Bytes.of_string image in
+  Bytes.set_int32_le damaged (List.nth starts w05) 0l;
+  let victim = temp_path () in
+  write_file victim (Bytes.to_string damaged);
+  check_verify_matches_reference "zero key length" victim;
+  (* Cuts inside and around the large record and its neighbours. *)
+  let big_start = List.nth starts big in
+  List.iter
+    (fun cut ->
+      write_file victim (String.sub image 0 cut);
+      check_verify_matches_reference (Printf.sprintf "cut %d" cut) victim)
+    [
+      first_window_end - 1; first_window_end; first_window_end + 1;
+      big_start + 3; big_start + 8; big_start + 65_536; big_start + 150_000;
+      List.nth starts w05 - 1; full - 1;
+    ]
+
+(* The index packs each payload offset with its length into one int,
+   which caps a log at 2^34 - 1 bytes; a longer one (here a sparse
+   file, so the test writes nothing) is refused, not misindexed. *)
+let test_log_size_ceiling () =
+  let path = temp_path () in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  ignore (Unix.write_substring fd "RWSTORE1" 0 8);
+  Unix.ftruncate fd (1 lsl 34);
+  Unix.close fd;
+  match Store.open_ path with
+  | Ok (t, _) ->
+    Store.close t;
+    Alcotest.fail "a 16 GiB log opened"
+  | Error msg ->
+    Alcotest.(check bool) ("refused: " ^ msg) true (file_size path = 1 lsl 34)
+
+(* ------------------------------------------------------------------ *)
+(* CRC-32                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let test_crc_known_answer () =
+  let b = Bytes.of_string "123456789" in
+  Alcotest.(check int32) "CRC-32 check value" 0xCBF43926l
+    (Store.crc32 b ~pos:0 ~len:9);
+  Alcotest.(check int32) "chained halves give the same value" 0xCBF43926l
+    (Store.crc32 ~crc:(Store.crc32 b ~pos:0 ~len:4) b ~pos:4 ~len:5);
+  Alcotest.(check int32) "empty input" 0l (Store.crc32 b ~pos:9 ~len:0)
+
+(* Every length 0–300 (so every remainder of the 4-byte stride), at
+   offsets 0–7 into the buffer, from a random starting CRC, split at a
+   random point into two chained calls. *)
+let prop_crc_matches_bitwise =
+  let gen =
+    QCheck.Gen.(
+      let* len = int_range 0 300 in
+      let* pos = int_range 0 7 in
+      let* slack = int_range 0 7 in
+      let* data = string_size (return (pos + len + slack)) in
+      let* split = int_range 0 len in
+      let* init = ui32 in
+      return (data, pos, len, split, init))
+  in
+  let print (data, pos, len, split, init) =
+    Printf.sprintf "data=%S pos=%d len=%d split=%d crc=%ld" data pos len split
+      init
+  in
+  QCheck.Test.make ~count:2000 ~name:"store: crc32 equals the bitwise CRC"
+    (QCheck.make ~print gen) (fun (data, pos, len, split, init) ->
+      let b = Bytes.of_string data in
+      let expected = crc32_bitwise ~crc:init b ~pos ~len in
+      Store.crc32 ~crc:init b ~pos ~len = expected
+      && Store.crc32
+           ~crc:(Store.crc32 ~crc:init b ~pos ~len:split)
+           b ~pos:(pos + split) ~len:(len - split)
+         = expected)
+
 let suite =
   [
     ("store: shadowing writes and reopen", `Quick, test_persistence);
@@ -292,4 +595,15 @@ let suite =
       `Quick, test_concurrent_write_through );
     ("store+service: stored trace replays with hit-store provenance",
       `Quick, test_store_hit_trace);
+    ("store: window-straddling record, every cut", `Quick,
+      test_window_straddle_cuts);
+    ("store: record larger than the window, every cut", `Quick,
+      test_large_record_cuts);
+    ("store: corruption past the first window", `Quick,
+      test_window_corruption);
+    ("store: crc32 check value and chaining", `Quick, test_crc_known_answer);
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 23 |])
+      prop_crc_matches_bitwise;
+    ("store: a log over 16 GiB is refused", `Quick, test_log_size_ceiling);
   ]
