@@ -6,9 +6,12 @@ set -eu
 dune build
 dune runtest
 
-# Smoke: the zoo must run and exit 0 (it exercises every engine,
-# including the Monte-Carlo fallback's deterministic default seed).
-dune exec bin/rw.exe -- zoo > /dev/null
+# Table 1: the zoo exercises every engine, including the Monte-Carlo
+# fallback's deterministic default seed. `rw zoo` exits 0 even when an
+# answer is wrong, so its output is diffed against the pinned
+# test/golden/zoo.txt: any moved answer fails the gate.
+dune exec bin/rw.exe -- zoo | diff -u test/golden/zoo.txt - \
+  || { echo "ci: rw zoo output differs from test/golden/zoo.txt" >&2; exit 1; }
 
 # Smoke: one explicit Monte-Carlo query, reproducible from its seed.
 dune exec bin/rw.exe -- query \

@@ -139,11 +139,13 @@ let solve_memo t (u : unary_data) tol =
         Hashtbl.replace u.solutions key r;
         r)
 
-let solve t parts tol =
+(* The compatibility check runs once, when [parts] is supplied; the
+   returned function is called once per tolerance. *)
+let solve t parts =
   match t.unary with
   | Some u when compatible_parts u parts -> (
-    match solve_memo t u tol with Ok s -> s | Error e -> raise e)
-  | _ -> Solver.solve parts tol
+    fun tol -> match solve_memo t u tol with Ok s -> s | Error e -> raise e)
+  | _ -> Solver.solve parts
 
 let profile_table t parts ~n ~tol =
   match t.unary with

@@ -93,9 +93,14 @@ val solve : t -> Analysis.parts -> Tolerance.t -> Solver.solution
 (** {!Rw_unary.Solver.solve}, memoised when the per-query analysis
     describes the compiled problem (same universe, universals,
     statisticals and constant facts; nothing unsupported) and direct
-    otherwise. Cached [Infeasible]/[Unsupported] outcomes are
-    re-raised, so failure behaviour matches a direct solve. A solve
-    cut short by a budget expiry leaves its cell empty. *)
+    otherwise. The check runs once, when [solve t parts] is applied;
+    the returned function is then called per tolerance. Cached
+    [Infeasible]/[Unsupported] outcomes are re-raised, so failure
+    behaviour matches a direct solve. A solve cut short by a budget
+    expiry leaves its cell empty. The maxent engine conditions on the
+    point this returns and never solves again, so a query whose
+    analysis matches the compiled one does no solver work once its
+    cells are filled. *)
 
 val profile_table :
   t -> Analysis.parts -> n:int -> tol:Tolerance.t -> Profile.table option

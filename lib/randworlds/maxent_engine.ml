@@ -103,7 +103,10 @@ let rec stat_truth_at_point sol tol f =
        multiplied-out form the constraints were enforced in. *)
     let slack = 1e-5 in
     let u = sol.Solver.parts.Analysis.universe in
-    let cond_vs_const f g x q =
+    (* [cond_first]: the conditional is the comparison's left side
+       ([cond ⪯ q]: x ≤ (q + τ)·y); otherwise its right ([q ⪯ cond]:
+       (q − τ)·y ≤ x). [≈] is symmetric. *)
+    let cond_vs_const ~cond_first f g x q =
       match
         (Atoms.extension_var u x (And (f, g)), Atoms.extension_var u x g)
       with
@@ -113,31 +116,16 @@ let rec stat_truth_at_point sol tol f =
         Some
           (match cmp with
           | Approx_eq _ -> Float.abs (xm -. (q *. ym)) <= (tau *. ym) +. slack
-          | Approx_le _ -> xm <= ((q +. tau) *. ym) +. slack)
+          | Approx_le _ when cond_first -> xm <= ((q +. tau) *. ym) +. slack
+          | Approx_le _ -> ((q -. tau) *. ym) -. slack <= xm)
       | exception Atoms.Not_boolean _ -> None
     in
     let special =
       match (z1, z2) with
-      | Cond (f, g, [ x ]), z -> (
-        match prop_at_point sol z with
-        | Some q -> cond_vs_const f g x q
-        | None -> None)
-      | z, Cond (f, g, [ x ]) -> (
-        match prop_at_point sol z with
-        | Some q -> (
-          match cmp with
-          | Approx_eq _ -> cond_vs_const f g x q
-          | Approx_le _ -> (
-            (* q ⪯ cond: (q − τ)·y ≤ x *)
-            match
-              (Atoms.extension_var u x (And (f, g)), Atoms.extension_var u x g)
-            with
-            | num, den ->
-              let xm = Solver.mass sol num and ym = Solver.mass sol den in
-              let tau = match cmp with Approx_eq i | Approx_le i -> Tolerance.get tol i in
-              Some (((q -. tau) *. ym) -. slack <= xm)
-            | exception Atoms.Not_boolean _ -> None))
-        | None -> None)
+      | Cond (f, g, [ x ]), z ->
+        Option.bind (prop_at_point sol z) (cond_vs_const ~cond_first:true f g x)
+      | z, Cond (f, g, [ x ]) ->
+        Option.bind (prop_at_point sol z) (cond_vs_const ~cond_first:false f g x)
       | _ -> None
     in
     match special with
@@ -189,108 +177,116 @@ let split_query query =
       | _ -> (c :: consts, stats))
     ([], []) conjuncts
 
-(** [belief_at compiled ~query tol] — the degree of belief at one fixed
-    tolerance vector. [None] when conditioning is impossible at this
-    tolerance.
+(* One conjunctive KB's problem for a query: the KB analysed over the
+   query's predicates; its maxent solve — the artifact's memo when the
+   analysis matches the compiled one (no new predicates), a direct
+   solve otherwise; and the atom set each of the query's constants is
+   known to lie in. None of it depends on the tolerance. *)
+type problem = {
+  parts : Analysis.parts;
+  solve : Tolerance.t -> Solver.solution;
+  givens : (string * Atoms.Set.t) list;
+}
 
-    A disjunctive KB [KB₁ ∨ … ∨ KB_m] is handled through the
-    concentration argument: [#worlds(KB_i) ≈ e^{N·H_i}], so the
-    disjuncts of maximal maximum-entropy dominate the count as
-    [N → ∞]; when every dominant disjunct yields the same belief, that
-    is the answer (this validates the Or rule of Theorem 5.3 — e.g.
-    Example 5.4's broken-arm KB). Dominant disjuncts that disagree are
-    reported as outside the fragment (the mixture weights then depend
-    on sub-exponential terms this engine does not track).
+(* A disjunctive KB [KB₁ ∨ … ∨ KB_m] poses one problem per disjunct. *)
+type kb_problem = Conjunctive of problem | Disjunctive of problem list
 
-    @raise Outside_fragment / [Constraints.Unsupported] when KB or
-    query leave the unary fragment.
-    @raise Solver.Infeasible when the KB is inconsistent at [tol]. *)
-let rec belief_at compiled ~query tol =
+(* Analyse the KB once per query, or each disjunct once, ahead of the
+   τ̄ walk. *)
+let problem_of compiled ~query ~consts =
+  let analyse c ~outside =
+    let parts =
+      Analysis.analyze
+        ~extra_preds:(Unary_engine.unary_preds_of query)
+        (Compiled_kb.kb c)
+    in
+    if not (Analysis.fully_supported parts) then raise (Outside_fragment outside)
+    else
+      {
+        parts;
+        solve = Compiled_kb.solve c parts;
+        givens = List.map (fun k -> (k, Analysis.fact_atoms parts k)) consts;
+      }
+  in
   match Compiled_kb.disjuncts compiled with
-  | [] -> belief_at_conjunctive compiled ~query tol
-  | disjuncts -> begin
-    (* Each disjunct is a KB of its own, compiled once and held by the
-       parent artifact; its memo serves both the entropy and the belief
-       solve. *)
+  | [] -> Conjunctive (analyse compiled ~outside:"KB outside the unary fragment")
+  | ds ->
+    Disjunctive
+      (List.map (analyse ~outside:"disjunct outside the unary fragment") ds)
+
+(* The degree of belief in a conjunctive KB at one tolerance, read off
+   the maxent point [sol] — forced at most once, and only when the
+   query needs it. Each named individual's atom is distributed as the
+   point conditioned on its known facts.
+   @raise Solver.Infeasible when the KB is inconsistent at [tol] or an
+   individual's facts have no mass at the point. *)
+let conjunctive_belief p sol ~const_part ~stat_part tol =
+  let stat_prob =
+    if stat_part = [] then 1.0
+    else if stat_truth_at_point (Lazy.force sol) tol (conj stat_part) then 1.0
+    else 0.0
+  in
+  let const_prob =
+    if const_part = [] then 1.0
+    else if p.givens = [] then raise (Outside_fragment "query mentions no constants")
+    else begin
+      let dists =
+        List.map
+          (fun (c, given) ->
+            match Solver.conditional_distribution (Lazy.force sol) ~given with
+            | Some d -> (c, d)
+            | None -> raise (Solver.Infeasible 1.0))
+          p.givens
+      in
+      const_query_prob p.parts.Analysis.universe dists (conj const_part)
+    end
+  in
+  stat_prob *. const_prob
+
+(* The degree of belief at one fixed tolerance vector.
+
+   A disjunctive KB is handled through the concentration argument:
+   [#worlds(KB_i) ≈ e^{N·H_i}], so the disjuncts of maximal maximum
+   entropy dominate the count as [N → ∞]; when every dominant disjunct
+   yields the same belief, that is the answer (this validates the Or
+   rule of Theorem 5.3 — e.g. Example 5.4's broken-arm KB). Dominant
+   disjuncts that disagree are reported as outside the fragment (the
+   mixture weights then depend on sub-exponential terms this engine
+   does not track).
+
+   @raise Outside_fragment / [Constraints.Unsupported] when the query
+   leaves the unary fragment.
+   @raise Solver.Infeasible when the KB is inconsistent at [tol]. *)
+let belief_at kbp ~const_part ~stat_part tol =
+  match kbp with
+  | Conjunctive p ->
+    conjunctive_belief p (lazy (p.solve tol)) ~const_part ~stat_part tol
+  | Disjunctive ps -> begin
     let evaluated =
       List.filter_map
-        (fun c ->
-          let d = Compiled_kb.kb c in
+        (fun p ->
+          let sol = lazy (p.solve tol) in
           match
-            let parts =
-              Analysis.analyze ~extra_preds:(Unary_engine.unary_preds_of query) d
-            in
-            if not (Analysis.fully_supported parts) then
-              raise (Outside_fragment "disjunct outside the unary fragment")
-            else (Compiled_kb.solve c parts tol, belief_at c ~query tol)
+            let b = conjunctive_belief p sol ~const_part ~stat_part tol in
+            ((Lazy.force sol).Solver.entropy, b)
           with
-          | sol, Some b -> Some (sol.Solver.entropy, b)
-          | _, None -> None
+          | hb -> Some hb
           | exception Solver.Infeasible _ -> None (* dead disjunct *))
-        disjuncts
+        ps
     in
     match evaluated with
     | [] -> raise (Solver.Infeasible 1.0)
-    | _ -> begin
+    | _ ->
       let hmax = List.fold_left (fun m (h, _) -> Float.max m h) neg_infinity evaluated in
       let dominant = List.filter (fun (h, _) -> h >= hmax -. 1e-9) evaluated in
       let beliefs = List.map snd dominant in
       let bmin = List.fold_left Float.min 1.0 beliefs in
       let bmax = List.fold_left Float.max 0.0 beliefs in
-      if bmax -. bmin <= 1e-6 then Some bmin
+      if bmax -. bmin <= 1e-6 then bmin
       else
         raise
           (Outside_fragment
              "disjunctive KB whose dominant disjuncts disagree on the query")
-    end
-  end
-
-and belief_at_conjunctive compiled ~query tol =
-  let parts =
-    Analysis.analyze
-      ~extra_preds:(Unary_engine.unary_preds_of query)
-      (Compiled_kb.kb compiled)
-  in
-  if not (Analysis.fully_supported parts) then
-    raise (Outside_fragment "KB outside the unary fragment")
-  else begin
-    (* The unconditioned maxent solve comes from the artifact's memo
-       whenever the query's analysis matches the compiled one (no new
-       predicates); an extended problem is solved directly inside
-       [Compiled_kb.solve]. *)
-    let solve = Compiled_kb.solve compiled parts in
-    let u = parts.Analysis.universe in
-    let const_part, stat_part = split_query query in
-    let stat_prob =
-      if stat_part = [] then Some 1.0
-      else begin
-        let sol = solve tol in
-        if stat_truth_at_point sol tol (conj stat_part) then Some 1.0 else Some 0.0
-      end
-    in
-    let const_prob =
-      if const_part = [] then Some 1.0
-      else begin
-        let query_c = conj const_part in
-        let consts = Syntax.constants query_c in
-        if consts = [] then raise (Outside_fragment "query mentions no constants")
-        else begin
-          let dists =
-            List.map
-              (fun c ->
-                let given = Analysis.fact_atoms parts c in
-                match Solver.conditional_distribution ~solve parts tol ~given with
-                | Some d -> (c, d)
-                | None -> raise (Solver.Infeasible 1.0))
-              consts
-          in
-          Some (const_query_prob u dists query_c)
-        end
-      end
-    in
-    match (stat_prob, const_prob) with
-    | Some a, Some b -> Some (a *. b)
-    | _ -> None
   end
 
 (* The entropy-maximum profile, for the trace only: entropy, constraint
@@ -299,27 +295,20 @@ and belief_at_conjunctive compiled ~query tol =
    exclusively when tracing is on; any failure is silently dropped —
    emission must never change the engine's verdict — except a budget
    expiry, which must reach the service to degrade the request. *)
-let emit_profile tr compiled ~query tol =
-  let solved c =
-    let parts =
-      Analysis.analyze
-        ~extra_preds:(Unary_engine.unary_preds_of query)
-        (Compiled_kb.kb c)
-    in
-    (parts, Compiled_kb.solve c parts tol)
-  in
-  let dominant best c =
-    match (solved c, best) with
+let emit_profile tr kbp tol =
+  let solved p = (p.parts, p.solve tol) in
+  let dominant best p =
+    match (solved p, best) with
     | (_, s), Some (_, b) when s.Solver.entropy <= b.Solver.entropy -> best
-    | p, _ -> Some p
+    | ps, _ -> Some ps
     | exception (Rw_pool.Budget.Expired as e) -> raise e
     | exception _ -> best
   in
   match
     let parts, sol =
-      match Compiled_kb.disjuncts compiled with
-      | [] -> solved compiled
-      | ds -> Option.get (List.fold_left dominant None ds)
+      match kbp with
+      | Conjunctive p -> solved p
+      | Disjunctive ps -> Option.get (List.fold_left dominant None ps)
     in
     let u = parts.Analysis.universe in
     let n_constraints = List.length (Constraints.of_parts parts tol) in
@@ -357,18 +346,21 @@ let rec estimate ?(tols = default_tols) ?trace compiled query =
   | Invalid_argument why -> declined why
 
 and estimate_exn ~tols ~trace compiled query =
+  let const_part, stat_part = split_query query in
+  let kbp =
+    problem_of compiled ~query ~consts:(Syntax.constants (conj const_part))
+  in
   let values =
     List.filter_map
       (fun tol ->
-        match belief_at compiled ~query tol with
-        | Some v -> Some (tol, v)
-        | None -> None
+        match belief_at kbp ~const_part ~stat_part tol with
+        | v -> Some (tol, v)
         | exception Solver.Infeasible _ -> None)
       tols
   in
   (match (trace, values) with
   | Some tr, (tol0, _) :: _ ->
-    emit_profile tr compiled ~query tol0;
+    emit_profile tr kbp tol0;
     List.iter
       (fun (tol, v) ->
         Trace.fact tr "tolerance"
@@ -376,15 +368,10 @@ and estimate_exn ~tols ~trace compiled query =
       values
   | _ -> ());
   match values with
-  | [] -> (
-    (* Distinguish "inconsistent" from "outside fragment". *)
-    match belief_at compiled ~query (List.hd tols) with
-    | exception Outside_fragment why ->
-      Answer.make ~engine:"maxent" (Answer.Not_applicable why)
-    | exception Constraints.Unsupported (why, _) ->
-      Answer.make ~engine:"maxent" (Answer.Not_applicable why)
-    | exception Solver.Infeasible _ -> Answer.make ~engine:"maxent" Answer.Inconsistent
-    | _ -> Answer.make ~engine:"maxent" Answer.Inconsistent)
+  | [] ->
+    (* Every tolerance was infeasible: a fragment violation would have
+       escaped the walk above. *)
+    Answer.make ~engine:"maxent" Answer.Inconsistent
   | _ -> begin
     let notes =
       List.map (fun (tol, v) -> Fmt.str "%a -> %.6f" Tolerance.pp tol v) values

@@ -4,8 +4,11 @@
     By the concentration phenomenon, as [N → ∞] almost all KB-worlds
     lie near the maximum-entropy point of [S(KB)], so queries about
     named individuals are answered from the atom distribution at that
-    point (constants are asymptotically independent given the
-    proportions), and closed statistical / quantified queries get
+    point, conditioned on each individual's known facts (constants are
+    asymptotically independent given the proportions). That one
+    read-off of the memoised point is the only way a query about
+    constants is answered: conditioning never solves again, even on a
+    vanishing mass. Closed statistical / quantified queries get
     degree of belief 1 or 0 according to their truth at the point. The
     [τ̄ → 0] limit is taken numerically over a shrinking schedule with
     least-squares intercept extrapolation.
@@ -24,17 +27,6 @@ val default_tols : Tolerance.t list
 exception Outside_fragment of string
 (** KB or query outside the unary fragment; caught by {!estimate}. *)
 
-val belief_at :
-  Rw_compile.Compiled_kb.t ->
-  query:Syntax.formula ->
-  Tolerance.t ->
-  float option
-(** The degree of belief at one fixed tolerance vector; [None] when
-    conditioning is impossible there.
-    @raise Outside_fragment outside the unary fragment.
-    @raise Rw_unary.Solver.Infeasible when the KB is inconsistent at
-    this tolerance. *)
-
 val estimate :
   ?tols:Tolerance.t list ->
   ?trace:Rw_trace.Trace.t ->
@@ -48,5 +40,7 @@ val estimate :
     per-index powers) to probe default priorities — Section 5.3's
     non-robustness ablation. [?trace] records the entropy-maximum
     profile (entropy, binding-constraint count, per-atom masses), the
-    per-tolerance beliefs, and the extrapolation verdict. Maxent
-    points come from the artifact's memo, filled on first use. *)
+    per-tolerance beliefs, and the extrapolation verdict. The KB (or
+    each disjunct) is analysed once per call; maxent points come from
+    the artifact's memo, filled on first use, so a warm query whose
+    predicates the KB already has does no solver work. *)

@@ -33,41 +33,15 @@ val mass : solution -> Atoms.Set.t -> float
 
 val conditional : solution -> num:Atoms.Set.t -> den:Atoms.Set.t -> float option
 (** [mass (num∩den) / mass den], or [None] when the denominator carries
-    no mass (see {!conditional_refined}). *)
-
-val conditional_refined :
-  Analysis.parts ->
-  Tolerance.t ->
-  num:Atoms.Set.t ->
-  den:Atoms.Set.t ->
-  floor:float ->
-  float option
-(** Conditioning on a set whose maxent mass vanishes (e.g. the Nixon
-    overlap under a smallness constraint): re-solve with a tiny floor
-    on the denominator set and read the ratio; the floor cancels in the
-    ratio as it tends to 0. *)
-
-val belief :
-  Analysis.parts ->
-  Tolerance.t ->
-  query_set:Atoms.Set.t ->
-  given_set:Atoms.Set.t ->
-  float option
-(** Degree of belief that an individual whose known facts select
-    [given_set] satisfies [query_set], at one tolerance; falls back to
-    the refined computation on vanishing mass. *)
+    no mass. *)
 
 val conditional_distribution :
-  ?solve:(Tolerance.t -> solution) ->
-  Analysis.parts ->
-  Tolerance.t ->
-  given:Atoms.Set.t ->
-  (int * float) list option
+  solution -> given:Atoms.Set.t -> (int * float) list option
 (** The distribution of a named individual's atom given its known
-    facts: maxent proportions restricted and renormalised to [given]
-    (with the floored fallback). [solve] overrides the unconditioned
-    maxent solve — a compiled KB passes its memoised solve here; the
-    floored fallback always re-solves. *)
+    facts: the maxent proportions restricted and renormalised to
+    [given]; [None] only when [given] has zero mass at the point. This
+    one read-off serves every degree of belief about constants, a
+    vanishing (but positive) conditioning mass included. *)
 
 val consistent_at : Analysis.parts -> Tolerance.t -> bool
 (** Is the KB satisfiable as a constraint system at this tolerance? *)

@@ -333,6 +333,60 @@ let test_disjuncts_compiled_once () =
   Alcotest.(check (list int)) "a conjunctive KB has no disjuncts" []
     (List.map (fun _ -> 0) (C.disjuncts (C.compile kb_a)))
 
+(* ------------------------------------------------------------------ *)
+(* Warm queries do no solver work                                     *)
+(* ------------------------------------------------------------------ *)
+
+let load_corpus_kb name =
+  let dir =
+    match
+      List.find_opt Sys.file_exists
+        [ "../examples/kb"; "examples/kb"; "../../examples/kb" ]
+    with
+    | Some d -> d
+    | None -> Alcotest.fail "examples/kb corpus not found"
+  in
+  match Kb_file.validated_load (Filename.concat dir name) with
+  | Ok kb -> kb
+  | Error msg -> Alcotest.failf "%s failed to load: %s" name msg
+
+(* Once a cold estimate has filled an artifact's solve cells, the same
+   maxent query reads them and conditions on the memoised point: it
+   never reaches the solver's budget poll, so an already-expired
+   deadline cannot degrade it. Covers every unary corpus query with a
+   paper value, plus the taxonomy queries whose conditioning mass
+   vanishes at the small tolerances. *)
+let test_warm_estimate_no_solver_work () =
+  List.iter
+    (fun (file, q) ->
+      let c = C.compile (load_corpus_kb file) and query = parse q in
+      let cold = Maxent_engine.estimate c query in
+      (match cold.Answer.result with
+      | Answer.Point _ -> ()
+      | r -> Alcotest.failf "%s %s: cold answer %a" file q Answer.pp_result r);
+      match
+        Rw_pool.Budget.with_deadline ~seconds:(-1.0) (fun () ->
+            Maxent_engine.estimate c query)
+      with
+      | warm ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: identical warm answer" file q)
+          true
+          (result_eq cold.Answer.result warm.Answer.result
+          && cold.Answer.notes = warm.Answer.notes)
+      | exception Rw_pool.Budget.Expired ->
+        Alcotest.failf "%s %s: the warm estimate ran the solver" file q)
+    [
+      ("hepatitis.kb", "Hep(Eric)");
+      ("tweety.kb", "~Fly(Tweety)");
+      ("nixon.kb", "Pac(Nixon)");
+      ("taxonomy.kb", "Swims(Opus)");
+      ("taxonomy.kb", "Fly(Opus)");
+      ("tay_sachs.kb", "TS(Eric)");
+      ("black_birds.kb", "Black(Clyde)");
+      ("broken_arm.kb", "LUsable(Eric) \\/ RUsable(Eric)");
+    ]
+
 let suite =
   [
     Alcotest.test_case "distinct digests" `Quick test_distinct_digests;
@@ -349,4 +403,6 @@ let suite =
     Alcotest.test_case "trace provenance" `Quick test_trace_provenance;
     Alcotest.test_case "disjuncts compiled once" `Quick
       test_disjuncts_compiled_once;
+    Alcotest.test_case "warm estimate does no solver work" `Quick
+      test_warm_estimate_no_solver_work;
   ]

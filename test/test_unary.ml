@@ -122,7 +122,7 @@ let solve_belief kb query_pred const =
   let u = parts.Analysis.universe in
   let query_set = Atoms.extension_var u "x" (Syntax.pred query_pred [ Syntax.var "x" ]) in
   let given_set = Analysis.fact_atoms parts const in
-  match Solver.belief parts tol ~query_set ~given_set with
+  match Solver.conditional (Solver.solve parts tol) ~num:query_set ~den:given_set with
   | Some v -> v
   | None -> Alcotest.fail "belief undefined"
 
@@ -313,6 +313,97 @@ let prop_profile_enum_agree =
         | None -> false
       end)
 
+(* ------------------------------------------------------------------ *)
+(* One maxent read-off on a vanishing conditioning mass               *)
+(* ------------------------------------------------------------------ *)
+
+module Compiled_kb = Rw_compile.Compiled_kb
+module Trace = Rw_trace.Trace
+
+let load_corpus_kb name =
+  let dir =
+    match
+      List.find_opt Sys.file_exists
+        [ "../examples/kb"; "examples/kb"; "../../examples/kb" ]
+    with
+    | Some d -> d
+    | None -> Alcotest.fail "examples/kb corpus not found"
+  in
+  match Kb_file.validated_load (Filename.concat dir name) with
+  | Ok kb -> kb
+  | Error msg -> Alcotest.failf "%s failed to load: %s" name msg
+
+(* Reference: the conditional distribution read off a re-solve that
+   floors the mass of [given] at 1e-7 — the construction the engine
+   once used whenever that mass fell below 1e-6. *)
+let floored_distribution (parts : Analysis.parts) tol ~given =
+  let u = parts.Analysis.universe in
+  let dim = Atoms.num_atoms u in
+  let atoms = Atoms.members u given in
+  let den = Rw_numeric.Vec.create dim 0.0 in
+  List.iter (fun a -> den.(a) <- -1.0) atoms;
+  let r =
+    Rw_numeric.Entropy_opt.solve ~dim
+      (Rw_numeric.Entropy_opt.Le (den, -1e-7) :: Constraints.of_parts parts tol)
+  in
+  let p = r.Rw_numeric.Entropy_opt.point in
+  let m = List.fold_left (fun acc a -> acc +. p.(a)) 0.0 atoms in
+  List.map (fun a -> (a, p.(a) /. m)) atoms
+
+(* On taxonomy, Penguin(Opus)'s mass at the maxent point falls to
+   ~1e-8 at the small tolerances. The engine's per-tolerance belief in
+   Fly(Opus) must still be exactly the conditional read off the
+   memoised point, and stay within 1e-7 of the floored reference. *)
+let test_vanishing_mass_readoff () =
+  let kb = load_corpus_kb "taxonomy.kb" in
+  let c = Compiled_kb.compile kb in
+  let tr = Trace.create () in
+  ignore (Randworlds.Maxent_engine.estimate ~trace:tr c (parse "Fly(Opus)"));
+  let traced =
+    List.filter_map
+      (function
+        | Trace.Fact { tag = "tolerance"; fields } -> (
+          match List.assoc_opt "value" fields with
+          | Some (Trace.F v) -> Some v
+          | _ -> None)
+        | _ -> None)
+      (Trace.events tr)
+  in
+  Alcotest.(check int) "one belief per tolerance"
+    (List.length Compiled_kb.default_schedule)
+    (List.length traced);
+  let parts = Analysis.analyze ~extra_preds:[ "Fly" ] kb in
+  let u = parts.Analysis.universe in
+  let given = Analysis.fact_atoms parts "Opus" in
+  let fly dist =
+    List.fold_left
+      (fun acc (a, p) ->
+        if p > 0.0 && Atoms.atom_satisfies u a "Fly" then acc +. p else acc)
+      0.0 dist
+  in
+  let vanishing =
+    List.fold_left2
+      (fun vanishing tol v ->
+        let sol = Compiled_kb.solve c parts tol in
+        let readoff =
+          match Solver.conditional_distribution sol ~given with
+          | Some d -> fly d
+          | None -> Alcotest.fail "Penguin(Opus) has zero mass"
+        in
+        let at = Fmt.str "%a" Tolerance.pp tol in
+        Alcotest.(check bool) (at ^ ": bit-identical read-off") true
+          (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float readoff));
+        if Solver.mass sol given > 1e-6 then vanishing
+        else begin
+          Alcotest.(check (float 1e-7)) (at ^ ": floored reference")
+            (fly (floored_distribution parts tol ~given))
+            v;
+          vanishing + 1
+        end)
+      0 Compiled_kb.default_schedule traced
+  in
+  Alcotest.(check bool) "some tolerances have vanishing mass" true (vanishing > 0)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -339,4 +430,5 @@ let suite =
     ("profile.consistency", `Quick, test_profile_consistency);
     ("profile.cost_estimate", `Quick, test_profile_cost_estimate);
     q prop_profile_enum_agree;
+    ("solver.vanishing_mass_readoff", `Quick, test_vanishing_mass_readoff);
   ]
