@@ -277,6 +277,23 @@ case $budget_reply in
      exit 1 ;;
 esac
 
+# Warm queries naming a predicate the KB lacks do no solver work: the
+# memoised maxent point is lifted to the wider universe. Once Wings(Opus)
+# has filled taxonomy's solve cells, ~Wings(Opus) under an already
+# expired budget must still answer the point 0.5, not degrade.
+lift_reply=$(printf '%s\n' \
+  '{"id":1,"op":"query","query":"Wings(Opus)"}' \
+  '{"id":2,"op":"query","query":"~Wings(Opus)","budget":0.000001}' \
+  | _build/default/bin/rw.exe serve --kb examples/kb/taxonomy.kb \
+      2> /dev/null | tail -n 1)
+case $lift_reply in
+  *'"tier":"degraded"'*)
+    echo "ci: warm lifted query degraded: $lift_reply" >&2; exit 1 ;;
+  *'"result":{"kind":"point","value":0.5}'*) ;;
+  *) echo "ci: warm lifted query not the point 0.5: $lift_reply" >&2
+     exit 1 ;;
+esac
+
 # The simulated face of the batch/pool surface: a failed fan-out
 # submission must fail atomically and the same batch retried on the
 # same pool must answer — replayed from the pinned corpus case.

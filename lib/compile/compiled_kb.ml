@@ -64,8 +64,7 @@ let degenerate_self_conditional indexed =
 (* The artifact                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type unary_data = {
-  parts : Analysis.parts;
+type memo = {
   m : Mutex.t;
       (** orders solver/table memo fills across pool domains; held for
           the duration of a solve so concurrent queries compile each
@@ -85,7 +84,9 @@ type t = {
   stat_index : (Syntax.formula * Stat.t option) list;
   ground_inconsistent : bool;
   degenerate_inconsistent : bool;
-  unary : unary_data option;
+  parts : Analysis.parts;  (** the KB's analysis over its own predicates *)
+  allowed : (Atoms.Set.t, exn) result;  (** or the [Not_boolean] it raised *)
+  memo : memo;
   disjuncts : t list option Atomic.t;  (** set once, like [digest] *)
   compile_ms : float;
   uses : int Atomic.t;
@@ -101,68 +102,60 @@ type t = {
 let default_schedule =
   Tolerance.schedule ~factor:0.5 ~steps:6 (Tolerance.uniform 0.02)
 
-(* A per-query analysis can reuse the compiled solver state only when
-   it describes the same optimisation problem: same atom universe (the
-   query introduced no new predicates) and the same classified
-   conjuncts. Structural equality keeps this sound for any caller —
-   incompatible parts are solved directly, unmemoised. *)
-let compatible_parts (u : unary_data) (parts : Analysis.parts) =
-  parts.Analysis.unsupported = []
-  && Atoms.predicates parts.Analysis.universe
-     = Atoms.predicates u.parts.Analysis.universe
-  && parts.Analysis.universals = u.parts.Analysis.universals
-  && parts.Analysis.statisticals = u.parts.Analysis.statisticals
-  && parts.Analysis.const_facts = u.parts.Analysis.const_facts
-
 (* One memoised maxent solve: the cell fills on first use. Expected
    exceptions (infeasible KB at this tolerance, non-linear fragment)
    are outcomes too: they are cached and re-raised, so a memo hit
    raises exactly where a direct solve would. Anything else (budget
    expiry, stack overflow) propagates uncached and leaves the cell
    empty for the next request. *)
-let solve_memo t (u : unary_data) tol =
+let solve_memo t tol =
   let key = Tolerance.fingerprint tol in
-  Mutex.protect u.m (fun () ->
-      match Hashtbl.find_opt u.solutions key with
+  Mutex.protect t.memo.m (fun () ->
+      match Hashtbl.find_opt t.memo.solutions key with
       | Some r ->
         Atomic.incr t.solve_hits;
         r
       | None ->
         Atomic.incr t.solve_misses;
         let r =
-          match Solver.solve u.parts tol with
+          match Solver.solve t.parts tol with
           | s -> Ok s
           | exception ((Solver.Infeasible _ | Constraints.Unsupported _) as e)
             ->
             Error e
         in
-        Hashtbl.replace u.solutions key r;
+        Hashtbl.replace t.memo.solutions key r;
         r)
 
-(* The compatibility check runs once, when [parts] is supplied; the
-   returned function is called once per tolerance. *)
-let solve t parts =
-  match t.unary with
-  | Some u when compatible_parts u parts -> (
-    fun tol -> match solve_memo t u tol with Ok s -> s | Error e -> raise e)
-  | _ -> Solver.solve parts
+let solve t tol = match solve_memo t tol with Ok s -> s | Error e -> raise e
 
-let profile_table t parts ~n ~tol =
-  match t.unary with
-  | None -> None
-  | Some u when not (compatible_parts u parts) -> None
-  | Some u ->
-    let key = Printf.sprintf "%d|%s" n (Tolerance.fingerprint tol) in
-    Mutex.protect u.m (fun () ->
-        match Hashtbl.find_opt u.tables key with
-        | Some tbl ->
-          Atomic.incr t.table_hits;
-          tbl
-        | None ->
-          Atomic.incr t.table_misses;
-          let tbl = Profile.stat_table u.parts ~n ~tol in
-          Hashtbl.replace u.tables key tbl;
-          tbl)
+let profile_table t ~n ~tol =
+  let key = Printf.sprintf "%d|%s" n (Tolerance.fingerprint tol) in
+  Mutex.protect t.memo.m (fun () ->
+      match Hashtbl.find_opt t.memo.tables key with
+      | Some tbl ->
+        Atomic.incr t.table_hits;
+        tbl
+      | None ->
+        Atomic.incr t.table_misses;
+        let tbl = Profile.stat_table t.parts ~n ~tol in
+        Hashtbl.replace t.memo.tables key tbl;
+        tbl)
+
+let analysis t = t.parts
+
+(* Lifted like {!Solver.lift}: no universal fact reads an added
+   predicate. *)
+let allowed t universe =
+  let own = t.parts.Analysis.universe in
+  match t.allowed with
+  | Error e -> raise e
+  | Ok set when Atoms.num_preds universe = Atoms.num_preds own -> set
+  | Ok set ->
+    let proj = Atoms.project universe ~onto:own in
+    let n = Atoms.num_atoms universe in
+    Atoms.Set.of_list n
+      (List.filter (fun a -> Atoms.Set.mem set (proj a)) (List.init n Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                        *)
@@ -170,47 +163,41 @@ let profile_table t parts ~n ~tol =
 
 let now_ms () = Rw_pool.Budget.now () *. 1000.0
 
-let unary_of parts =
-  {
-    parts;
-    m = Mutex.create ();
-    solutions = Hashtbl.create 16;
-    tables = Hashtbl.create 16;
-  }
-
-(* Everything but the unary memo state is a syntactic function of
-   the KB. The canonical digest is left for its first reader. *)
-let syntactic kb unary =
-  let conjuncts = Analysis.split_conjuncts kb in
-  let stat_index = List.map (fun f -> (f, Stat.of_conjunct f)) conjuncts in
-  {
-    digest = Atomic.make None;
-    kb;
-    vocab = Vocab.of_formula kb;
-    conjuncts;
-    stat_index;
-    ground_inconsistent = ground_contradiction conjuncts;
-    degenerate_inconsistent = degenerate_self_conditional stat_index;
-    unary;
-    disjuncts = Atomic.make None;
-    compile_ms = 0.0;
-    uses = Atomic.make 0;
-    solve_hits = Atomic.make 0;
-    solve_misses = Atomic.make 0;
-    table_hits = Atomic.make 0;
-    table_misses = Atomic.make 0;
-  }
-
 (* The syntactic pass plus the unary analysis. No solve runs here:
    each τ̄ cell of the memo fills on first use, so a single-shot
-   dispatch pays only for the solves it asks for. *)
+   dispatch pays only for the solves it asks for. The canonical digest
+   is left for its first reader. *)
 let compile kb =
   let t0 = now_ms () in
+  let conjuncts = Analysis.split_conjuncts kb in
+  let stat_index = List.map (fun f -> (f, Stat.of_conjunct f)) conjuncts in
   let parts = Analysis.analyze kb in
-  let unary =
-    if Analysis.fully_supported parts then Some (unary_of parts) else None
+  let t =
+    {
+      digest = Atomic.make None;
+      kb;
+      vocab = Vocab.of_formula kb;
+      conjuncts;
+      stat_index;
+      ground_inconsistent = ground_contradiction conjuncts;
+      degenerate_inconsistent = degenerate_self_conditional stat_index;
+      parts;
+      allowed =
+        (match Analysis.allowed_atoms parts with
+        | set -> Ok set
+        | exception (Atoms.Not_boolean _ as e) -> Error e);
+      memo =
+        { m = Mutex.create (); solutions = Hashtbl.create 8; tables = Hashtbl.create 8 };
+      disjuncts = Atomic.make None;
+      compile_ms = 0.0;
+      uses = Atomic.make 0;
+      solve_hits = Atomic.make 0;
+      solve_misses = Atomic.make 0;
+      table_hits = Atomic.make 0;
+      table_misses = Atomic.make 0;
+    }
   in
-  { (syntactic kb unary) with compile_ms = now_ms () -. t0 }
+  { t with compile_ms = now_ms () -. t0 }
 
 (* ------------------------------------------------------------------ *)
 (* Incremental update                                                 *)
@@ -230,19 +217,22 @@ let same_solve_problem (a : Analysis.parts) (b : Analysis.parts) =
 
 let update old kb =
   let t0 = now_ms () in
-  let parts = Analysis.analyze kb in
-  match old.unary with
-  | Some u when Analysis.fully_supported parts && same_solve_problem u.parts parts
-    ->
-    (* The syntactic pass is redone; the unary analysis adopts the new
+  let t = compile kb in
+  if
+    Analysis.fully_supported old.parts
+    && Analysis.fully_supported t.parts
+    && same_solve_problem old.parts t.parts
+  then
+    (* The compile pass is redone; the unary analysis adopts the new
        constant facts; the solved cells and profile tables are carried
        over verbatim. *)
     let solutions, tables =
-      Mutex.protect u.m (fun () ->
-          (Hashtbl.copy u.solutions, Hashtbl.copy u.tables))
+      Mutex.protect old.memo.m (fun () ->
+          (Hashtbl.copy old.memo.solutions, Hashtbl.copy old.memo.tables))
     in
     ( {
-        (syntactic kb (Some { (unary_of parts) with solutions; tables })) with
+        t with
+        memo = { t.memo with solutions; tables };
         (* Seed [uses] from the predecessor: nobody re-paid a solve, so
            the first consumer of the carried artifact reports "reused",
            not "fresh-solve". *)
@@ -250,7 +240,7 @@ let update old kb =
         compile_ms = now_ms () -. t0;
       },
       true )
-  | _ -> (compile kb, false)
+  else (t, false)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors and observability                                        *)
@@ -295,12 +285,11 @@ let use t = Atomic.fetch_and_add t.uses 1
    filling) any cell not yet solved — the artifact's entropy profile,
    for [rw compile] inspection and tests. *)
 let entropy_profile t =
-  match t.unary with
-  | None -> []
-  | Some u ->
+  if not (Analysis.fully_supported t.parts) then []
+  else
     List.map
       (fun tol ->
-        match solve_memo t u tol with
+        match solve_memo t tol with
         | Ok s -> (tol, Some s.Solver.entropy)
         | Error _ -> (tol, None))
       default_schedule
@@ -324,28 +313,23 @@ type stats = {
 
 let stats t =
   let presolved, infeasible, tables =
-    match t.unary with
-    | None -> (0, 0, 0)
-    | Some u ->
-      Mutex.protect u.m (fun () ->
-          let ok, bad =
-            Hashtbl.fold
-              (fun _ r (ok, bad) ->
-                match r with Ok _ -> (ok + 1, bad) | Error _ -> (ok, bad + 1))
-              u.solutions (0, 0)
-          in
-          (ok, bad, Hashtbl.length u.tables))
+    Mutex.protect t.memo.m (fun () ->
+        let ok, bad =
+          Hashtbl.fold
+            (fun _ r (ok, bad) ->
+              match r with Ok _ -> (ok + 1, bad) | Error _ -> (ok, bad + 1))
+            t.memo.solutions (0, 0)
+        in
+        (ok, bad, Hashtbl.length t.memo.tables))
   in
+  let unary = Analysis.fully_supported t.parts in
   {
     digest = digest t;
     conjunct_count = List.length t.conjuncts;
     stat_count = List.length (List.filter_map snd t.stat_index);
     atoms =
-      Option.map (fun u -> Atoms.num_atoms u.parts.Analysis.universe) t.unary;
-    constants =
-      (match t.unary with
-      | Some u -> List.length (Analysis.constants u.parts)
-      | None -> 0);
+      (if unary then Some (Atoms.num_atoms t.parts.Analysis.universe) else None);
+    constants = (if unary then List.length (Analysis.constants t.parts) else 0);
     presolved;
     infeasible;
     tables;

@@ -15,9 +15,9 @@
       statements the rules engine matches reference classes against,
     - the two query-independent eventual-inconsistency pre-checks,
     - the KB's vocabulary (merged with a query's where one is needed),
-    - when the KB sits in the fully-supported unary fragment: the
-      analysed {!Rw_unary.Analysis.parts} and memo tables for maxent
-      solves and for unary profile-counting tables.
+    - the KB's {!Rw_unary.Analysis.parts} over its own unary
+      predicates, the atoms its universal facts allow, and memo tables
+      for maxent solves and for unary profile-counting tables.
 
     Nothing is solved at compile time: each memo cell (one tolerance,
     or one domain size and tolerance) fills the first time an engine
@@ -30,10 +30,11 @@
     pool domains. The memo tables are mutex-guarded and fill each cell
     exactly once; the digest is set once through an [Atomic].
 
-    Soundness: memo reuse is gated on structural equality of the
-    per-query analysis with the compiled one, so engines can always
-    ask; a query that extends the problem (a new predicate) is solved
-    directly and answers are identical either way. *)
+    Soundness: a solve cell is keyed by its tolerance alone and holds
+    the compiled problem's point, so no query grows the artifact. A
+    query naming predicates the KB lacks reads the same cells, widened
+    ({!Rw_unary.Analysis.widen}) and lifted ({!Rw_unary.Solver.lift}),
+    which is exact. *)
 
 open Rw_logic
 open Rw_unary
@@ -89,25 +90,30 @@ val degenerate_inconsistent : t -> bool
 
 (** {1 Solver reuse} *)
 
-val solve : t -> Analysis.parts -> Tolerance.t -> Solver.solution
-(** {!Rw_unary.Solver.solve}, memoised when the per-query analysis
-    describes the compiled problem (same universe, universals,
-    statisticals and constant facts; nothing unsupported) and direct
-    otherwise. The check runs once, when [solve t parts] is applied;
-    the returned function is then called per tolerance. Cached
-    [Infeasible]/[Unsupported] outcomes are re-raised, so failure
-    behaviour matches a direct solve. A solve cut short by a budget
-    expiry leaves its cell empty. The maxent engine conditions on the
-    point this returns and never solves again, so a query whose
-    analysis matches the compiled one does no solver work once its
-    cells are filled. *)
+val analysis : t -> Analysis.parts
+(** The KB's analysis over its own unary predicates, made once by
+    {!compile}; engines widen it rather than analyse the KB again. *)
 
-val profile_table :
-  t -> Analysis.parts -> n:int -> tol:Tolerance.t -> Profile.table option
-(** Memoised {!Rw_unary.Profile.stat_table} for a domain size and
-    tolerance; [None] when the analysis does not describe the compiled
-    problem or the table is not precomputable (statistics mentioning
-    constants, or too many satisfying profiles to store). *)
+val allowed : t -> Atoms.universe -> Atoms.Set.t
+(** The atoms the universal facts allow, computed once by {!compile},
+    lifted to a [universe] holding the KB's predicates.
+    @raise Atoms.Not_boolean where the KB's solve raises it too. *)
+
+val solve : t -> Tolerance.t -> Solver.solution
+(** The memoised maxent point of the compiled problem (its universals
+    and statistics) over the KB's own atoms — the only solve an engine
+    runs. Cached [Infeasible]/[Unsupported] outcomes are re-raised, so
+    failure behaviour matches a direct solve; a solve cut short by a
+    budget expiry leaves its cell empty. Engines read
+    [Solver.lift (solve t tol) universe], so a warm query does no
+    solver work. *)
+
+val profile_table : t -> n:int -> tol:Tolerance.t -> Profile.table option
+(** Memoised {!Rw_unary.Profile.stat_table} of the compiled analysis;
+    [None] outside the fragment or when the table is not precomputable
+    (statistics mentioning constants, or too many satisfying profiles
+    to store). It counts the KB's own atoms, so it serves only queries
+    that add no predicate. *)
 
 (** {1 Observability} *)
 

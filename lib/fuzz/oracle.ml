@@ -372,7 +372,7 @@ let convergence ~options (c : Gen.case) =
          the run. *)
       let parts =
         Rw_unary.Analysis.analyze
-          ~extra_preds:(Unary_engine.unary_preds_of query) kb
+          ~extra_preds:(Syntax.unary_preds query) kb
       in
       if Rw_unary.Profile.cost_estimate parts ~n:32 > 2e5 then None
       else Some (Unary_engine.series ~kb ~query ~ns:[ 4; 8; 16; 32 ] ~tol)

@@ -49,6 +49,15 @@ let atom_satisfies u atom p =
   | Some j -> atom land (1 lsl j) <> 0
   | None -> invalid_arg (Printf.sprintf "Atoms.atom_satisfies: unknown predicate %s" p)
 
+(** [project u ~onto] maps an atom of [u] to the atom of [onto] that
+    agrees with it on [onto]'s predicates. *)
+let project u ~onto =
+  let bits = Array.map (fun p -> 1 lsl Option.get (pred_index u p)) onto.preds in
+  fun atom ->
+    let r = ref 0 in
+    Array.iteri (fun i b -> if atom land b <> 0 then r := !r lor (1 lsl i)) bits;
+    !r
+
 (* ------------------------------------------------------------------ *)
 (* Atom sets                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -192,18 +201,6 @@ let equivalent ?theory u x f g =
   match theory with
   | Some t -> Set.equal (Set.inter ef t) (Set.inter eg t)
   | None -> Set.equal ef eg
-
-(** [atom_formula u x atom] is the defining formula of [atom] as a
-    conjunction of literals over variable [x]. *)
-let atom_formula u x atom =
-  let lits =
-    List.mapi
-      (fun j p ->
-        let app = Pred (p, [ Var x ]) in
-        if atom land (1 lsl j) <> 0 then app else Not app)
-      (predicates u)
-  in
-  conj lits
 
 (** [members u set] lists the atom indices in a set (the universe
     argument is kept for call-site uniformity). *)

@@ -31,6 +31,11 @@ val atom_satisfies : universe -> int -> string -> bool
 (** [atom_satisfies u atom p] — does predicate [p] hold in [atom]?
     Raises [Invalid_argument] for unknown predicates. *)
 
+val project : universe -> onto:universe -> int -> int
+(** [project u ~onto] maps an atom of [u] to the atom of [onto] that
+    agrees with it on [onto]'s predicates, all of which [u] must have
+    ([Invalid_argument] otherwise). *)
+
 (** Sets of atoms, as width-aware bitsets (a plain [int] bitmask would
     silently overflow beyond 62 atoms, i.e. 6 predicates). *)
 module Set : sig
@@ -90,9 +95,6 @@ val disjoint :
 
 val equivalent :
   ?theory:Set.t -> universe -> string -> Syntax.formula -> Syntax.formula -> bool
-
-val atom_formula : universe -> string -> int -> Syntax.formula
-(** The defining conjunction of literals of an atom, over a variable. *)
 
 val members : universe -> Set.t -> int list
 val pp_atom : universe -> Format.formatter -> int -> unit

@@ -317,6 +317,12 @@ let constants f =
   let _, funcs = symbols f in
   List.filter_map (fun (name, arity) -> if arity = 0 then Some name else None) funcs
 
+(** [unary_preds f] is the sorted list of arity-1 predicate symbols in
+    [f]. *)
+let unary_preds f =
+  let preds, _ = symbols f in
+  List.filter_map (fun (p, a) -> if a = 1 then Some p else None) preds
+
 (** [tolerance_indices f] is the sorted list of subscripts [i] of the
     approximate connectives occurring in [f] — the coordinates of the
     tolerance vector [τ̄] that matter for [f]. *)

@@ -128,6 +128,9 @@ val symbols : formula -> (string * int) list * (string * int) list
 val constants : formula -> string list
 (** Sorted list of constant symbols. *)
 
+val unary_preds : formula -> string list
+(** Sorted names of the arity-1 predicate symbols. *)
+
 val tolerance_indices : formula -> int list
 (** Sorted subscripts of the approximate connectives occurring in the
     formula — the coordinates of [τ̄] that matter for it. *)

@@ -126,9 +126,8 @@ let wilson ~z ~hits ~total =
 let uniform_mix = 0.1
 
 (* [solve] overrides the maxent solve the tilt is read from — a
-   compiled KB supplies its memoised solver so batches don't re-run
-   the optimiser per grid point. The proposal (and hence the sample
-   stream) is identical either way. *)
+   compiled KB supplies its memoised point, lifted to the vocabulary's
+   universe, so batches don't re-run the optimiser per grid point. *)
 let tilted_proposal ?solve ~(vocab : Vocab.t) ~tol kb =
   let all_unary =
     vocab.Vocab.preds <> []
@@ -139,13 +138,13 @@ let tilted_proposal ?solve ~(vocab : Vocab.t) ~tol kb =
   else begin
     try
       let pred_names = List.map fst vocab.Vocab.preds in
-      let parts = Rw_unary.Analysis.analyze ~extra_preds:pred_names kb in
+      let u = Atoms.universe pred_names in
       let sol =
         match solve with
-        | Some f -> f parts tol
-        | None -> Rw_unary.Solver.solve parts tol
+        | Some f -> f u tol
+        | None ->
+          Rw_unary.(Solver.solve (Analysis.analyze ~extra_preds:pred_names kb) tol)
       in
-      let u = parts.Rw_unary.Analysis.universe in
       let a = Atoms.num_atoms u in
       let theta =
         Array.init a (fun i ->

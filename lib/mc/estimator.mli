@@ -65,7 +65,7 @@ val estimate :
   ?config:config ->
   ?pool:Rw_pool.Pool.t ->
   ?tilt_solve:
-    (Rw_unary.Analysis.parts -> Tolerance.t -> Rw_unary.Solver.solution) ->
+    (Atoms.universe -> Tolerance.t -> Rw_unary.Solver.solution) ->
   seed:int ->
   vocab:Vocab.t ->
   n:int ->
@@ -75,10 +75,10 @@ val estimate :
   outcome
 (** The adaptive Monte-Carlo estimate of [Pr_N^τ̄(query | kb)].
 
-    [?tilt_solve] overrides the maximum-entropy solve the stratified
-    fallback reads its tilted proposal from (a compiled KB passes its
-    memoised solver); the proposal — and hence the sample stream — is
-    identical either way.
+    [?tilt_solve] overrides the maximum-entropy solve over [vocab]'s
+    atom universe that the stratified fallback reads its tilted
+    proposal from (a compiled KB passes its memoised point, lifted);
+    the proposal is the direct solve's up to rounding.
 
     Sampling is sharded into fixed-size chunks ([config.batch]
     samples), each with a generator split off the master stream {e per

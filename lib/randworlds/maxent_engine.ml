@@ -59,88 +59,9 @@ let const_query_prob u dists query =
   in
   go dists [] 1.0 0.0
 
-(* Evaluate a closed statistical formula at the maxent point: the
-   concentration theorem gives degree of belief 1 to whatever holds in
-   (almost) all worlds near the point. Closed quantified formulas over
-   boolean bodies reduce to atom emptiness: [∀x β] holds in almost all
-   KB-worlds iff every atom violating β is excluded by the universal
-   facts (an atom merely carrying zero or τ-small *proportion* still
-   has members in almost all large worlds); dually [∃x β] fails only
-   when no allowed atom satisfies β. *)
-let rec stat_truth_at_point sol tol f =
-  match f with
-  | True -> true
-  | False -> false
-  | Not g -> not (stat_truth_at_point sol tol g)
-  | And (g, h) -> stat_truth_at_point sol tol g && stat_truth_at_point sol tol h
-  | Or (g, h) -> stat_truth_at_point sol tol g || stat_truth_at_point sol tol h
-  | Implies (g, h) ->
-    (not (stat_truth_at_point sol tol g)) || stat_truth_at_point sol tol h
-  | Iff (g, h) -> stat_truth_at_point sol tol g = stat_truth_at_point sol tol h
-  | Forall (x, body) -> begin
-    let u = sol.Solver.parts.Analysis.universe in
-    match Atoms.extension_var u x body with
-    | sat ->
-      let allowed = Analysis.allowed_atoms sol.Solver.parts in
-      Atoms.Set.subset allowed sat
-    | exception Atoms.Not_boolean _ ->
-      raise (Outside_fragment "quantified query with non-boolean body")
-  end
-  | Exists (x, body) -> begin
-    let u = sol.Solver.parts.Analysis.universe in
-    match Atoms.extension_var u x body with
-    | sat ->
-      let allowed = Analysis.allowed_atoms sol.Solver.parts in
-      not (Atoms.Set.is_empty (Atoms.Set.inter allowed sat))
-    | exception Atoms.Not_boolean _ ->
-      raise (Outside_fragment "quantified query with non-boolean body")
-  end
-  | Compare (z1, cmp, z2) -> begin
-    (* Solver residual slack: a query that restates a KB constraint
-       sits exactly on the feasible boundary, and must not flip to
-       false on numerical noise (e.g. Reflexivity, Pr(KB | KB) = 1).
-       Conditional-vs-constant comparisons are tested in the same
-       multiplied-out form the constraints were enforced in. *)
-    let slack = 1e-5 in
-    let u = sol.Solver.parts.Analysis.universe in
-    (* [cond_first]: the conditional is the comparison's left side
-       ([cond ⪯ q]: x ≤ (q + τ)·y); otherwise its right ([q ⪯ cond]:
-       (q − τ)·y ≤ x). [≈] is symmetric. *)
-    let cond_vs_const ~cond_first f g x q =
-      match
-        (Atoms.extension_var u x (And (f, g)), Atoms.extension_var u x g)
-      with
-      | num, den ->
-        let xm = Solver.mass sol num and ym = Solver.mass sol den in
-        let tau = match cmp with Approx_eq i | Approx_le i -> Tolerance.get tol i in
-        Some
-          (match cmp with
-          | Approx_eq _ -> Float.abs (xm -. (q *. ym)) <= (tau *. ym) +. slack
-          | Approx_le _ when cond_first -> xm <= ((q +. tau) *. ym) +. slack
-          | Approx_le _ -> ((q -. tau) *. ym) -. slack <= xm)
-      | exception Atoms.Not_boolean _ -> None
-    in
-    let special =
-      match (z1, z2) with
-      | Cond (f, g, [ x ]), z ->
-        Option.bind (prop_at_point sol z) (cond_vs_const ~cond_first:true f g x)
-      | z, Cond (f, g, [ x ]) ->
-        Option.bind (prop_at_point sol z) (cond_vs_const ~cond_first:false f g x)
-      | _ -> None
-    in
-    match special with
-    | Some b -> b
-    | None -> (
-      match (prop_at_point sol z1, prop_at_point sol z2) with
-      | Some a, Some b -> (
-        match cmp with
-        | Approx_eq i -> Float.abs (a -. b) <= Tolerance.get tol i +. slack
-        | Approx_le i -> a <= b +. Tolerance.get tol i +. slack)
-      | None, _ | _, None -> true)
-  end
-  | f -> raise (Outside_fragment (Fmt.str "statistical query %a" Pretty.pp_formula f))
-
-and prop_at_point sol z =
+(* A proportion expression's value at the maxent point; [None] when a
+   conditional's reference class has no mass. *)
+let rec prop_at_point sol z =
   let u = sol.Solver.parts.Analysis.universe in
   match z with
   | Num x -> Some x
@@ -164,6 +85,82 @@ and prop_at_point sol z =
     | Some a, Some b -> Some (a *. b)
     | _ -> None)
 
+(* Evaluate a closed statistical formula at the maxent point: the
+   concentration theorem gives degree of belief 1 to whatever holds in
+   (almost) all worlds near the point. Closed quantified formulas over
+   boolean bodies reduce to atom emptiness: [∀x β] holds in almost all
+   KB-worlds iff every atom violating β is excluded by the universal
+   facts (an atom merely carrying zero or τ-small *proportion* still
+   has members in almost all large worlds); dually [∃x β] fails only
+   when no allowed atom satisfies β. [allowed] is the artifact's set,
+   lifted to the point's universe once per query. *)
+let stat_truth_at_point ~allowed sol tol f =
+  let u = sol.Solver.parts.Analysis.universe in
+  let quantified x body holds =
+    match Atoms.extension_var u x body with
+    | sat -> holds (Lazy.force allowed) sat
+    | exception Atoms.Not_boolean _ ->
+      raise (Outside_fragment "quantified query with non-boolean body")
+  in
+  let rec go = function
+    | True -> true
+    | False -> false
+    | Not g -> not (go g)
+    | And (g, h) -> go g && go h
+    | Or (g, h) -> go g || go h
+    | Implies (g, h) -> (not (go g)) || go h
+    | Iff (g, h) -> go g = go h
+    | Forall (x, body) -> quantified x body Atoms.Set.subset
+    | Exists (x, body) ->
+      quantified x body (fun allowed sat ->
+          not (Atoms.Set.is_empty (Atoms.Set.inter allowed sat)))
+    | Compare (z1, cmp, z2) -> begin
+      (* Solver residual slack: a query that restates a KB constraint
+         sits exactly on the feasible boundary, and must not flip to
+         false on numerical noise (e.g. Reflexivity, Pr(KB | KB) = 1).
+         Conditional-vs-constant comparisons are tested in the same
+         multiplied-out form the constraints were enforced in. *)
+      let slack = 1e-5 in
+      (* [cond_first]: the conditional is the comparison's left side
+         ([cond ⪯ q]: x ≤ (q + τ)·y); otherwise its right ([q ⪯ cond]:
+         (q − τ)·y ≤ x). [≈] is symmetric. *)
+      let cond_vs_const ~cond_first f g x q =
+        match
+          (Atoms.extension_var u x (And (f, g)), Atoms.extension_var u x g)
+        with
+        | num, den ->
+          let xm = Solver.mass sol num and ym = Solver.mass sol den in
+          let tau = match cmp with Approx_eq i | Approx_le i -> Tolerance.get tol i in
+          Some
+            (match cmp with
+            | Approx_eq _ -> Float.abs (xm -. (q *. ym)) <= (tau *. ym) +. slack
+            | Approx_le _ when cond_first -> xm <= ((q +. tau) *. ym) +. slack
+            | Approx_le _ -> ((q -. tau) *. ym) -. slack <= xm)
+        | exception Atoms.Not_boolean _ -> None
+      in
+      let special =
+        match (z1, z2) with
+        | Cond (f, g, [ x ]), z ->
+          Option.bind (prop_at_point sol z) (cond_vs_const ~cond_first:true f g x)
+        | z, Cond (f, g, [ x ]) ->
+          Option.bind (prop_at_point sol z) (cond_vs_const ~cond_first:false f g x)
+        | _ -> None
+      in
+      match special with
+      | Some b -> b
+      | None -> (
+        match (prop_at_point sol z1, prop_at_point sol z2) with
+        | Some a, Some b -> (
+          match cmp with
+          | Approx_eq i -> Float.abs (a -. b) <= Tolerance.get tol i +. slack
+          | Approx_le i -> a <= b +. Tolerance.get tol i +. slack)
+        | None, _ | _, None -> true)
+    end
+    | f ->
+      raise (Outside_fragment (Fmt.str "statistical query %a" Pretty.pp_formula f))
+  in
+  go f
+
 (* Split a query conjunction into a part about constants and a closed
    statistical part (proportion comparisons and closed quantified
    formulas, both handled by [stat_truth_at_point]). *)
@@ -177,42 +174,50 @@ let split_query query =
       | _ -> (c :: consts, stats))
     ([], []) conjuncts
 
-(* One conjunctive KB's problem for a query: the KB analysed over the
-   query's predicates; its maxent solve — the artifact's memo when the
-   analysis matches the compiled one (no new predicates), a direct
-   solve otherwise; and the atom set each of the query's constants is
-   known to lie in. None of it depends on the tolerance. *)
+(* One conjunctive KB's problem for a query: the artifact's analysis
+   widened to the query's universe; the artifact's memoised maxent
+   point, lifted to that universe; the atoms its universal facts allow
+   there; and the atom set each of the query's constants is known to
+   lie in. None of it depends on the tolerance. *)
 type problem = {
   parts : Analysis.parts;
   solve : Tolerance.t -> Solver.solution;
+  allowed : Atoms.Set.t Lazy.t;
   givens : (string * Atoms.Set.t) list;
 }
 
 (* A disjunctive KB [KB₁ ∨ … ∨ KB_m] poses one problem per disjunct. *)
 type kb_problem = Conjunctive of problem | Disjunctive of problem list
 
-(* Analyse the KB once per query, or each disjunct once, ahead of the
-   τ̄ walk. *)
+(* Widen the artifact's analysis (or each disjunct's) to the query's
+   universe once per query, ahead of the τ̄ walk. Disjuncts share one
+   universe — the whole KB's predicates plus the query's — so their
+   entropies are comparable: a disjunct silent about a predicate
+   another one constrains gains [ln 2] for it, as its world count
+   does. *)
 let problem_of compiled ~query ~consts =
-  let analyse c ~outside =
-    let parts =
-      Analysis.analyze
-        ~extra_preds:(Unary_engine.unary_preds_of query)
-        (Compiled_kb.kb c)
-    in
+  let problem preds c ~outside =
+    let parts = Analysis.widen (Compiled_kb.analysis c) preds in
     if not (Analysis.fully_supported parts) then raise (Outside_fragment outside)
     else
+      let allowed = lazy (Compiled_kb.allowed c parts.Analysis.universe) in
       {
         parts;
-        solve = Compiled_kb.solve c parts;
-        givens = List.map (fun k -> (k, Analysis.fact_atoms parts k)) consts;
+        solve = (fun tol -> Solver.lift (Compiled_kb.solve c tol) parts.universe);
+        allowed;
+        givens =
+          List.map
+            (fun k -> (k, Analysis.fact_atoms parts ~allowed:(Lazy.force allowed) k))
+            consts;
       }
   in
+  let preds = Syntax.unary_preds query in
   match Compiled_kb.disjuncts compiled with
-  | [] -> Conjunctive (analyse compiled ~outside:"KB outside the unary fragment")
+  | [] -> Conjunctive (problem preds compiled ~outside:"KB outside the unary fragment")
   | ds ->
+    let preds = Syntax.unary_preds (Compiled_kb.kb compiled) @ preds in
     Disjunctive
-      (List.map (analyse ~outside:"disjunct outside the unary fragment") ds)
+      (List.map (problem preds ~outside:"disjunct outside the unary fragment") ds)
 
 (* The degree of belief in a conjunctive KB at one tolerance, read off
    the maxent point [sol] — forced at most once, and only when the
@@ -223,7 +228,8 @@ let problem_of compiled ~query ~consts =
 let conjunctive_belief p sol ~const_part ~stat_part tol =
   let stat_prob =
     if stat_part = [] then 1.0
-    else if stat_truth_at_point (Lazy.force sol) tol (conj stat_part) then 1.0
+    else if stat_truth_at_point ~allowed:p.allowed (Lazy.force sol) tol (conj stat_part)
+    then 1.0
     else 0.0
   in
   let const_prob =
@@ -296,20 +302,20 @@ let belief_at kbp ~const_part ~stat_part tol =
    emission must never change the engine's verdict — except a budget
    expiry, which must reach the service to degrade the request. *)
 let emit_profile tr kbp tol =
-  let solved p = (p.parts, p.solve tol) in
   let dominant best p =
-    match (solved p, best) with
-    | (_, s), Some (_, b) when s.Solver.entropy <= b.Solver.entropy -> best
-    | ps, _ -> Some ps
+    match (p.solve tol, best) with
+    | s, Some b when s.Solver.entropy <= b.Solver.entropy -> best
+    | s, _ -> Some s
     | exception (Rw_pool.Budget.Expired as e) -> raise e
     | exception _ -> best
   in
   match
-    let parts, sol =
+    let sol =
       match kbp with
-      | Conjunctive p -> solved p
+      | Conjunctive p -> p.solve tol
       | Disjunctive ps -> Option.get (List.fold_left dominant None ps)
     in
+    let parts = sol.Solver.parts in
     let u = parts.Analysis.universe in
     let n_constraints = List.length (Constraints.of_parts parts tol) in
     let atom_fields =

@@ -13,10 +13,14 @@
     [τ̄ → 0] limit is taken numerically over a shrinking schedule with
     least-squares intercept extrapolation.
 
+    A predicate the KB lacks is read off, not solved: the memoised
+    point is lifted to the query's universe ({!Rw_unary.Solver.lift}).
     Disjunctive KBs are handled through the same concentration
     argument: disjuncts of maximal entropy dominate the world count;
     when every dominant disjunct yields the same belief, that is the
-    answer (validating the Or rule — e.g. Example 5.4's broken arm). *)
+    answer (validating the Or rule — e.g. Example 5.4's broken arm).
+    Their entropies are compared over one universe: the whole KB's
+    predicates plus the query's. *)
 
 open Rw_logic
 
@@ -40,7 +44,7 @@ val estimate :
     per-index powers) to probe default priorities — Section 5.3's
     non-robustness ablation. [?trace] records the entropy-maximum
     profile (entropy, binding-constraint count, per-atom masses), the
-    per-tolerance beliefs, and the extrapolation verdict. The KB (or
-    each disjunct) is analysed once per call; maxent points come from
-    the artifact's memo, filled on first use, so a warm query whose
-    predicates the KB already has does no solver work. *)
+    per-tolerance beliefs, and the extrapolation verdict. The
+    artifact's analysis (or each disjunct's) is widened to the query's
+    universe once per call, and maxent points are the artifact's memo,
+    lifted; so a warm query does no solver work. *)

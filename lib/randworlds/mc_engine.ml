@@ -60,11 +60,12 @@ let estimate ?(seed = default_seed) ?samples ?ci_width ?pool
   let vocab =
     Vocab.merge (Rw_compile.Compiled_kb.vocab compiled) (Vocab.of_formula query)
   in
-  (* The artifact supplies the memoised maxent solve behind the
+  (* The artifact supplies the memoised maxent point behind the
      stratified rescue's importance tilt (the tilt is a function of the
-     KB and tolerance only). The proposal is that of a direct solve, so
-     the sample stream — and the answer — do not change. *)
-  let tilt_solve = Rw_compile.Compiled_kb.solve compiled in
+     KB and tolerance only), lifted to the vocabulary's universe. *)
+  let tilt_solve u tol =
+    Rw_unary.Solver.lift (Rw_compile.Compiled_kb.solve compiled tol) u
+  in
   (* Split one master generator per grid point so points are
      independent but jointly reproducible from the one seed. *)
   let master = Rw_mc.Prng.create seed in

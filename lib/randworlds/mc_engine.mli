@@ -16,7 +16,7 @@ val pr_n :
   ?config:Rw_mc.Estimator.config ->
   ?pool:Rw_pool.Pool.t ->
   ?tilt_solve:
-    (Rw_unary.Analysis.parts -> Rw_logic.Tolerance.t -> Rw_unary.Solver.solution) ->
+    (Atoms.universe -> Rw_logic.Tolerance.t -> Rw_unary.Solver.solution) ->
   ?seed:int ->
   vocab:Vocab.t ->
   n:int ->

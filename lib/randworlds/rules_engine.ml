@@ -203,13 +203,7 @@ let unary_context ~indexed ~query =
   let kb_conjuncts = List.map fst indexed in
   match Syntax.constants query with
   | [ c ] -> begin
-    let all_preds =
-      List.concat_map
-        (fun f ->
-          let ps, _ = Syntax.symbols f in
-          List.filter_map (fun (p, a) -> if a = 1 then Some p else None) ps)
-        (query :: kb_conjuncts)
-    in
+    let all_preds = List.concat_map Syntax.unary_preds (query :: kb_conjuncts) in
     (* Everything must be unary & equality-free for the atom reasoner. *)
     let ok_fragment =
       List.for_all

@@ -13,10 +13,6 @@ module Trace = Rw_trace.Trace
 
 let default_sizes = [ 20; 40; 60 ]
 
-let unary_preds_of f =
-  let preds, _ = Syntax.symbols f in
-  List.filter_map (fun (p, a) -> if a = 1 then Some p else None) preds
-
 (* Does the KB state any conditional proportion? Their granularity is
    governed by the (unknown, ≤ N) reference-class size rather than N,
    so they need a stricter tolerance-resolution guard. *)
@@ -39,17 +35,13 @@ and prop_has_cond = function
 
 (** [pr_n ~kb ~query ~n ~tol] — exact finite-[N] degree of belief. *)
 let pr_n ~kb ~query ~n ~tol =
-  let parts = Analysis.analyze ~extra_preds:(unary_preds_of query) kb in
+  let parts = Analysis.analyze ~extra_preds:(Syntax.unary_preds query) kb in
   Profile.pr_n parts ~query ~n ~tol
 
 (** [series ~kb ~query ~ns ~tol] — [Pr_N] along domain sizes. *)
 let series ~kb ~query ~ns ~tol =
-  let parts = Analysis.analyze ~extra_preds:(unary_preds_of query) kb in
   List.filter_map
-    (fun n ->
-      match Profile.pr_n parts ~query ~n ~tol with
-      | Some v -> Some (n, v)
-      | None -> None)
+    (fun n -> Option.map (fun v -> (n, v)) (pr_n ~kb ~query ~n ~tol))
     ns
 
 (** [estimate ?ns ?tols ?trace compiled query] — the double limit over
@@ -69,7 +61,8 @@ let estimate ?(ns = default_sizes) ?tols ?trace compiled query =
     Answer.make ~engine:"unary" (Answer.Not_applicable why)
   in
   let kb = Rw_compile.Compiled_kb.kb compiled in
-  let parts = Analysis.analyze ~extra_preds:(unary_preds_of query) kb in
+  let own = Rw_compile.Compiled_kb.analysis compiled in
+  let parts = Analysis.widen own (Syntax.unary_preds query) in
   if not (Analysis.fully_supported parts) then
     declined "KB outside the unary fragment"
   else begin
@@ -139,9 +132,12 @@ let estimate ?(ns = default_sizes) ?tols ?trace compiled query =
         ( Rw_prelude.Floats.clamp01 (Float.min x2 far),
           Rw_prelude.Floats.clamp01 (Float.max x2 far) )
       in
+      (* The memoised tables count the KB's own atoms, so a query
+         naming a predicate the KB lacks counts directly. *)
       let pr ~n ~tol =
         let table =
-          Rw_compile.Compiled_kb.profile_table compiled parts ~n ~tol
+          if parts == own then Rw_compile.Compiled_kb.profile_table compiled ~n ~tol
+          else None
         in
         Profile.pr_n ?table parts ~query ~n ~tol
       in

@@ -8,10 +8,6 @@ open Rw_logic
 
 val default_sizes : int list
 
-val unary_preds_of : Syntax.formula -> string list
-(** The unary predicate names of a formula (used to build a shared atom
-    universe for KB and query). *)
-
 val pr_n :
   kb:Syntax.formula ->
   query:Syntax.formula ->

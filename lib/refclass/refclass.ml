@@ -69,28 +69,12 @@ let stat_of_conjunct = function
     Section 2.2 pathology. *)
 let infer ?(allow_disjunctive = false) ~kb ~query_pred ~individual () =
   let conjuncts = Rw_unary.Analysis.split_conjuncts kb in
-  (* Atom universe over all unary predicates. *)
-  let preds =
-    List.concat_map
-      (fun f ->
-        let ps, _ = Syntax.symbols f in
-        List.filter_map (fun (p, a) -> if a = 1 then Some p else None) ps)
-      conjuncts
-  in
-  let preds = Listx.sort_uniq_strings (query_pred :: preds) in
-  let u = Atoms.universe preds in
+  (* Atom universe over all unary predicates; universal facts → theory;
+     boolean facts about the individual. *)
+  let parts = Rw_unary.Analysis.analyze ~extra_preds:[ query_pred ] kb in
+  let u = parts.Rw_unary.Analysis.universe in
   let x = "x_rc" in
-  (* Universal facts → theory; boolean facts about the individual. *)
-  let theory =
-    Atoms.theory u
-      (List.filter_map
-         (fun f ->
-           match f with
-           | Forall (y, body) when Atoms.is_boolean_over u ~subject:(Var y) body ->
-             Some (Forall (y, body))
-           | _ -> None)
-         conjuncts)
-  in
+  let theory = Rw_unary.Analysis.allowed_atoms parts in
   let known =
     conj
       (List.filter_map

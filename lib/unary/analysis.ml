@@ -40,11 +40,7 @@ let single_constant f =
     [extra_preds] (pass the query's predicates so that both formulas
     live in one universe). *)
 let analyze ?(extra_preds = []) kb =
-  let preds, _ = Syntax.symbols kb in
-  let unary_preds =
-    List.filter_map (fun (p, a) -> if a = 1 then Some p else None) preds
-  in
-  let universe = Atoms.universe (unary_preds @ extra_preds) in
+  let universe = Atoms.universe (Syntax.unary_preds kb @ extra_preds) in
   let classify acc conjunct =
     match conjunct with
     | Forall (x, body) when Atoms.is_boolean_over universe ~subject:(Var x) body ->
@@ -72,6 +68,14 @@ let analyze ?(extra_preds = []) kb =
     unsupported = List.rev parts.unsupported;
   }
 
+(** [widen parts preds] — the analysis over the universe that adds
+    [preds]. [classify] evaluates a conjunct at atom 0 only, so
+    predicates it does not mention cannot change its class. *)
+let widen parts preds =
+  let known = Atoms.predicates parts.universe in
+  if List.for_all (fun p -> List.mem p known) preds then parts
+  else { parts with universe = Atoms.universe (known @ preds) }
+
 (** [fully_supported parts] — no conjunct fell outside the fragment. *)
 let fully_supported parts = parts.unsupported = []
 
@@ -85,15 +89,14 @@ let allowed_atoms parts =
 let constants parts =
   Rw_prelude.Listx.sort_uniq_strings (List.map fst parts.const_facts)
 
-(** [fact_atoms parts c] is the bitset of atoms consistent with
-    everything the KB says about constant [c] (and with the universal
-    facts). *)
-let fact_atoms parts c =
+(** [fact_atoms parts ~allowed c] is the bitset of atoms of [allowed]
+    consistent with everything the KB says about constant [c]. *)
+let fact_atoms parts ~allowed c =
   let subject = Fn (c, []) in
   List.fold_left
     (fun acc (c', f) ->
       if c' = c then Atoms.Set.inter acc (Atoms.extension parts.universe ~subject f) else acc)
-    (allowed_atoms parts) parts.const_facts
+    allowed parts.const_facts
 
 (** [statistical_formula parts] re-conjoins the universal and
     statistical conjuncts — the part of the KB that speaks about
@@ -105,13 +108,3 @@ let statistical_formula parts =
 
 (** [facts_formula parts] re-conjoins the facts about individuals. *)
 let facts_formula parts = conj (List.map snd parts.const_facts)
-
-let pp ppf parts =
-  Fmt.pf ppf "@[<v>universe: %a@,universals: %d, statisticals: %d, facts: %d%s@]"
-    Fmt.(list ~sep:(any " ") string)
-    (Atoms.predicates parts.universe)
-    (List.length parts.universals)
-    (List.length parts.statisticals)
-    (List.length parts.const_facts)
-    (if parts.unsupported = [] then ""
-     else Printf.sprintf ", UNSUPPORTED: %d" (List.length parts.unsupported))

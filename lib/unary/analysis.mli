@@ -26,6 +26,12 @@ val analyze : ?extra_preds:string list -> Syntax.formula -> parts
     predicates of the KB plus [extra_preds] (pass the query's
     predicates so both formulas share one universe). *)
 
+val widen : parts -> string list -> parts
+(** [widen parts preds] is [analyze ~extra_preds:preds kb] for the
+    [kb] [parts] analyses: classification never reads a predicate the
+    KB lacks, so only the universe changes. [parts] itself when
+    [preds] adds none. *)
+
 val fully_supported : parts -> bool
 (** No conjunct fell outside the fragment. *)
 
@@ -35,14 +41,12 @@ val allowed_atoms : parts -> Atoms.Set.t
 val constants : parts -> string list
 (** Named individuals the KB mentions, sorted. *)
 
-val fact_atoms : parts -> string -> Atoms.Set.t
-(** Atoms consistent with everything the KB says about a constant
-    (and with the universal facts). *)
+val fact_atoms : parts -> allowed:Atoms.Set.t -> string -> Atoms.Set.t
+(** Atoms of [allowed] (the {!allowed_atoms}) consistent with
+    everything the KB says about a constant. *)
 
 val statistical_formula : parts -> Syntax.formula
 (** Re-conjoined universal + statistical conjuncts. *)
 
 val facts_formula : parts -> Syntax.formula
 (** Re-conjoined facts about individuals. *)
-
-val pp : Format.formatter -> parts -> unit

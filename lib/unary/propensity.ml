@@ -50,16 +50,12 @@ let pr_n (parts : Analysis.parts) ~query ~n ~tol =
   let u = parts.Analysis.universe in
   Profile.pr_n ~log_prior:(log_prior u ~n) parts ~query ~n ~tol
 
-let unary_preds_of_formula f =
-  let preds, _ = Syntax.symbols f in
-  List.filter_map (fun (p, a) -> if a = 1 then Some p else None) preds
-
 (** [series ?ns ?tol ~kb query] — the finite-[N] values along a size
     schedule (sizes with no KB-worlds are skipped). The propensity
     prior needs no tolerance limit of its own; [tol] covers any
     approximate conjuncts in the KB. *)
 let series ?(ns = [ 16; 24; 32 ]) ?(tol = Tolerance.uniform 0.05) ~kb query =
-  let parts = Analysis.analyze ~extra_preds:(unary_preds_of_formula query) kb in
+  let parts = Analysis.analyze ~extra_preds:(Syntax.unary_preds query) kb in
   List.filter_map
     (fun n ->
       match pr_n parts ~query ~n ~tol with Some v -> Some (n, v) | None -> None)

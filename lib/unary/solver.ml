@@ -49,6 +49,23 @@ let solve (parts : Analysis.parts) tol =
       max_violation = r.Entropy_opt.max_violation;
     }
 
+(** [lift sol universe] — the maxent point over a wider universe: the
+    added predicates are uniform and independent of the rest. *)
+let lift sol universe =
+  let narrow = sol.parts.Analysis.universe in
+  let k = Atoms.num_preds universe - Atoms.num_preds narrow in
+  if k = 0 then sol
+  else
+    let proj = Atoms.project universe ~onto:narrow in
+    {
+      sol with
+      parts = { sol.parts with Analysis.universe };
+      point =
+        Array.init (Atoms.num_atoms universe) (fun a ->
+            Float.ldexp sol.point.(proj a) (-k));
+      entropy = sol.entropy +. (float_of_int k *. Float.log 2.0);
+    }
+
 (** [mass sol set] is [Σ_{A ∈ set} p*_A]. *)
 let mass sol set =
   List.fold_left

@@ -28,6 +28,15 @@ val solve : Analysis.parts -> Tolerance.t -> solution
 (** @raise Infeasible when the constraints cannot be met.
     @raise Constraints.Unsupported outside the linear fragment. *)
 
+val lift : solution -> Atoms.universe -> solution
+(** The maxent point over a [universe] adding [k] predicates: each
+    atom gets its projection's mass ({!Atoms.project}) over [2^k], and
+    the entropy gains [k·ln 2]. Exact, as no constraint reads an added
+    predicate: averaging a feasible point over each projection fibre
+    keeps it feasible and, entropy being strictly concave, raises its
+    entropy, so the maximum is fibre-uniform, where the problem is the
+    original plus [k·ln 2]. [sol] itself when [k = 0]. *)
+
 val mass : solution -> Atoms.Set.t -> float
 (** [Σ_{A ∈ set} p*_A]. *)
 

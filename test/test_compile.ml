@@ -354,8 +354,9 @@ let load_corpus_kb name =
    maxent query reads them and conditions on the memoised point: it
    never reaches the solver's budget poll, so an already-expired
    deadline cannot degrade it. Covers every unary corpus query with a
-   paper value, plus the taxonomy queries whose conditioning mass
-   vanishes at the small tolerances. *)
+   paper value, the taxonomy queries whose conditioning mass vanishes
+   at the small tolerances, and taxonomy queries naming Wings, which
+   the KB lacks: they read the same cells, lifted. *)
 let test_warm_estimate_no_solver_work () =
   List.iter
     (fun (file, q) ->
@@ -382,6 +383,8 @@ let test_warm_estimate_no_solver_work () =
       ("nixon.kb", "Pac(Nixon)");
       ("taxonomy.kb", "Swims(Opus)");
       ("taxonomy.kb", "Fly(Opus)");
+      ("taxonomy.kb", "Wings(Opus)");
+      ("taxonomy.kb", "Fly(Opus) /\\ Wings(Opus)");
       ("tay_sachs.kb", "TS(Eric)");
       ("black_birds.kb", "Black(Clyde)");
       ("broken_arm.kb", "LUsable(Eric) \\/ RUsable(Eric)");

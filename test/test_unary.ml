@@ -48,7 +48,9 @@ let test_analysis_unsupported () =
 let test_fact_atoms () =
   let parts = Analysis.analyze hep_kb in
   let u = parts.Analysis.universe in
-  let set = Analysis.fact_atoms parts "Eric" in
+  let set =
+    Analysis.fact_atoms parts ~allowed:(Analysis.allowed_atoms parts) "Eric"
+  in
   (* Eric is jaundiced: allowed atoms are exactly those satisfying Jaun. *)
   List.iter
     (fun a ->
@@ -121,7 +123,9 @@ let solve_belief kb query_pred const =
   let parts = Analysis.analyze ~extra_preds:[ query_pred ] kb in
   let u = parts.Analysis.universe in
   let query_set = Atoms.extension_var u "x" (Syntax.pred query_pred [ Syntax.var "x" ]) in
-  let given_set = Analysis.fact_atoms parts const in
+  let given_set =
+    Analysis.fact_atoms parts ~allowed:(Analysis.allowed_atoms parts) const
+  in
   match Solver.conditional (Solver.solve parts tol) ~num:query_set ~den:given_set with
   | Some v -> v
   | None -> Alcotest.fail "belief undefined"
@@ -374,7 +378,7 @@ let test_vanishing_mass_readoff () =
     (List.length traced);
   let parts = Analysis.analyze ~extra_preds:[ "Fly" ] kb in
   let u = parts.Analysis.universe in
-  let given = Analysis.fact_atoms parts "Opus" in
+  let given = Analysis.fact_atoms parts ~allowed:(Compiled_kb.allowed c u) "Opus" in
   let fly dist =
     List.fold_left
       (fun acc (a, p) ->
@@ -384,7 +388,7 @@ let test_vanishing_mass_readoff () =
   let vanishing =
     List.fold_left2
       (fun vanishing tol v ->
-        let sol = Compiled_kb.solve c parts tol in
+        let sol = Compiled_kb.solve c tol in
         let readoff =
           match Solver.conditional_distribution sol ~given with
           | Some d -> fly d
@@ -403,6 +407,57 @@ let test_vanishing_mass_readoff () =
       0 Compiled_kb.default_schedule traced
   in
   Alcotest.(check bool) "some tolerances have vanishing mass" true (vanishing > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Lifting the memoised point to absent predicates                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A predicate the KB never mentions is uniform and independent of the
+   rest at the maxent point, so lifting the memoised point must match
+   a direct solve over the extended universe — the only place that
+   direct solve still runs. The absent names sort before and after the
+   corpus predicates, so the projection moves bits both ways. *)
+let test_lift_matches_extended_solve () =
+  let files =
+    List.filter
+      (fun f -> Analysis.fully_supported (Analysis.analyze (load_corpus_kb f)))
+      [ "black_birds.kb"; "broken_arm.kb"; "hepatitis.kb"; "late_risers.kb";
+        "nixon.kb"; "taxonomy.kb"; "tay_sachs.kb"; "tweety.kb" ]
+  in
+  Alcotest.(check bool) "most of the corpus is unary" true (List.length files >= 6);
+  List.iter
+    (fun file ->
+      let kb = load_corpus_kb file in
+      let c = Compiled_kb.compile kb in
+      List.iter
+        (fun tol ->
+          let at = Fmt.str "%s %a" file Tolerance.pp tol in
+          match Compiled_kb.solve c tol with
+          | exception Solver.Infeasible _ ->
+            Alcotest.(check bool) (at ^ ": infeasible either way") false
+              (Solver.consistent_at (Analysis.analyze ~extra_preds:[ "AAbsent" ] kb) tol)
+          | sol ->
+            Alcotest.(check bool) (at ^ ": no predicate added") true
+              (Solver.lift sol sol.Solver.parts.Analysis.universe == sol);
+            List.iter
+              (fun extra ->
+                let direct = Solver.solve (Analysis.analyze ~extra_preds:extra kb) tol in
+                let u = direct.Solver.parts.Analysis.universe in
+                let lifted = Solver.lift sol u in
+                let at = Fmt.str "%s +%s" at (String.concat "," extra) in
+                Alcotest.(check int) (at ^ ": atoms")
+                  (Array.length direct.Solver.point) (Array.length lifted.Solver.point);
+                Array.iteri
+                  (fun a p ->
+                    if Float.abs (p -. lifted.Solver.point.(a)) > 1e-12 then
+                      Alcotest.failf "%s: atom %a: lifted %.17g, direct %.17g" at
+                        (Atoms.pp_atom u) a lifted.Solver.point.(a) p)
+                  direct.Solver.point;
+                Alcotest.(check (float 1e-12)) (at ^ ": entropy")
+                  direct.Solver.entropy lifted.Solver.entropy)
+              [ [ "AAbsent" ]; [ "AAbsent"; "Zabsent" ] ])
+        Compiled_kb.default_schedule)
+    files
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -431,4 +486,5 @@ let suite =
     ("profile.cost_estimate", `Quick, test_profile_cost_estimate);
     q prop_profile_enum_agree;
     ("solver.vanishing_mass_readoff", `Quick, test_vanishing_mass_readoff);
+    ("solver.lift_matches_extended_solve", `Quick, test_lift_matches_extended_solve);
   ]
