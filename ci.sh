@@ -357,6 +357,27 @@ if [ "$sess_replay" != "$sess_ref" ]; then
   echo "--- replay ---" >&2; printf '%s\n' "$sess_replay" >&2
   exit 1
 fi
+# The replay re-adds answers the store already holds byte for byte;
+# those write nothing. So the replayed log holds exactly the records of
+# the uninterrupted run's log (the crash lost only the last re-keyed
+# answer), and a second replay, which finds every answer stored, leaves
+# the record count where it was.
+store_records() {
+  _build/default/bin/rw.exe store stats --json "$1" \
+    | sed -n 's/.*"records":\([0-9]*\).*/\1/p'
+}
+ref_records=$(store_records "$sess_dir/ref.rws")
+replay_records=$(store_records "$sess_dir/live.rws")
+[ "$replay_records" = "$ref_records" ] \
+  || { echo "ci: replayed store holds $replay_records records, the uninterrupted run's $ref_records" >&2
+       exit 1; }
+printf '%s\n' "$sess_script" \
+  | _build/default/bin/rw.exe serve --kb examples/kb/hepatitis.kb \
+      --store "$sess_dir/live.rws" > /dev/null 2>&1
+rereplay_records=$(store_records "$sess_dir/live.rws")
+[ "$rereplay_records" = "$replay_records" ] \
+  || { echo "ci: a replay over a complete store grew it from $replay_records to $rereplay_records records" >&2
+       exit 1; }
 rm -rf "$sess_dir"
 
 # Delta reuse: evidence-only updates must carry the compiled artifact

@@ -103,11 +103,11 @@ let default_schedule =
   Tolerance.schedule ~factor:0.5 ~steps:6 (Tolerance.uniform 0.02)
 
 (* One memoised maxent solve: the cell fills on first use. Expected
-   exceptions (infeasible KB at this tolerance, non-linear fragment)
-   are outcomes too: they are cached and re-raised, so a memo hit
-   raises exactly where a direct solve would. Anything else (budget
-   expiry, stack overflow) propagates uncached and leaves the cell
-   empty for the next request. *)
+   exceptions (infeasible KB at this tolerance, non-linear or
+   non-boolean fragment) are outcomes too: they are cached and
+   re-raised, so a memo hit raises exactly where a direct solve would.
+   Anything else (budget expiry, stack overflow) propagates uncached
+   and leaves the cell empty for the next request. *)
 let solve_memo t tol =
   let key = Tolerance.fingerprint tol in
   Mutex.protect t.memo.m (fun () ->
@@ -120,8 +120,9 @@ let solve_memo t tol =
         let r =
           match Solver.solve t.parts tol with
           | s -> Ok s
-          | exception ((Solver.Infeasible _ | Constraints.Unsupported _) as e)
-            ->
+          | exception
+              (( Solver.Infeasible _ | Constraints.Unsupported _
+               | Atoms.Not_boolean _ ) as e) ->
             Error e
         in
         Hashtbl.replace t.memo.solutions key r;

@@ -102,9 +102,9 @@ val allowed : t -> Atoms.universe -> Atoms.Set.t
 val solve : t -> Tolerance.t -> Solver.solution
 (** The memoised maxent point of the compiled problem (its universals
     and statistics) over the KB's own atoms — the only solve an engine
-    runs. Cached [Infeasible]/[Unsupported] outcomes are re-raised, so
-    failure behaviour matches a direct solve; a solve cut short by a
-    budget expiry leaves its cell empty. Engines read
+    runs. Cached [Infeasible]/[Unsupported]/[Not_boolean] outcomes are
+    re-raised, so failure behaviour matches a direct solve; a solve cut
+    short by a budget expiry leaves its cell empty. Engines read
     [Solver.lift (solve t tol) universe], so a warm query does no
     solver work. *)
 

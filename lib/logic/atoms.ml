@@ -145,12 +145,16 @@ let rec eval_at u ~subject atom f =
   | Pred _ | Eq _ | Forall _ | Exists _ | Compare _ -> raise (Not_boolean f)
 
 (** [is_boolean_over u ~subject f] recognises boolean combinations of
-    unary predicates of [u] applied to [subject]. *)
-let is_boolean_over u ~subject f =
-  match eval_at u ~subject 0 f with
-  | (_ : bool) -> true
-  | exception Not_boolean _ -> false
-  | exception Invalid_argument _ -> false
+    unary predicates of [u] applied to [subject]: a structural check of
+    every leaf, so it holds exactly where {!eval_at} is total. *)
+let rec is_boolean_over u ~subject f =
+  match f with
+  | True | False -> true
+  | Pred (p, [ t ]) -> t = subject && pred_index u p <> None
+  | Not g -> is_boolean_over u ~subject g
+  | And (g, h) | Or (g, h) | Implies (g, h) | Iff (g, h) ->
+    is_boolean_over u ~subject g && is_boolean_over u ~subject h
+  | Pred _ | Eq _ | Forall _ | Exists _ | Compare _ -> false
 
 (** [extension u ~subject f] is the set of atoms satisfying the
     boolean combination [f].

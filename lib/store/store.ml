@@ -4,14 +4,15 @@
 (* CRC-32 (IEEE 802.3, reflected — the zlib polynomial)               *)
 (* ------------------------------------------------------------------ *)
 
-(* Slicing-by-4 on native ints: [crc_tables] holds four 256-entry
+(* Slicing-by-8 on native ints: [crc_tables] holds eight 256-entry
    tables back to back, table [k] giving the CRC contribution of a byte
-   followed by [k] zero bytes, so a 32-bit word costs one load and four
-   lookups instead of four dependent byte steps. Built eagerly: pool
-   workers write through concurrently, and forcing one lazy value from
-   two domains at once raises [CamlinternalLazy.Undefined]. *)
+   followed by [k] zero bytes, so eight bytes cost two 32-bit loads and
+   eight independent lookups instead of eight dependent byte steps.
+   Built eagerly: pool workers write through concurrently, and forcing
+   one lazy value from two domains at once raises
+   [CamlinternalLazy.Undefined]. *)
 let crc_tables =
-  let t = Array.make 1024 0 in
+  let t = Array.make 2048 0 in
   for n = 0 to 255 do
     let c = ref n in
     for _ = 0 to 7 do
@@ -19,7 +20,7 @@ let crc_tables =
     done;
     t.(n) <- !c
   done;
-  for i = 256 to 1023 do
+  for i = 256 to 2047 do
     let prev = t.(i - 256) in
     t.(i) <- t.(prev land 0xFF) lxor (prev lsr 8)
   done;
@@ -32,17 +33,21 @@ let get_u32 buf i = Int32.to_int (Bytes.get_int32_le buf i) land 0xFFFF_FFFF
 let crc_update c buf ~pos ~len =
   let t = crc_tables in
   let c = ref c and i = ref pos in
-  let stop4 = pos + (len land lnot 3) in
-  while !i < stop4 do
-    let x = !c lxor get_u32 buf !i in
+  let stop8 = pos + (len land lnot 7) in
+  while !i < stop8 do
+    let x = !c lxor get_u32 buf !i and y = get_u32 buf (!i + 4) in
     c :=
-      Array.unsafe_get t (768 + (x land 0xFF))
-      lxor Array.unsafe_get t (512 + ((x lsr 8) land 0xFF))
-      lxor Array.unsafe_get t (256 + ((x lsr 16) land 0xFF))
-      lxor Array.unsafe_get t (x lsr 24);
-    i := !i + 4
+      Array.unsafe_get t (1792 + (x land 0xFF))
+      lxor Array.unsafe_get t (1536 + ((x lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (1280 + ((x lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (1024 + (x lsr 24))
+      lxor Array.unsafe_get t (768 + (y land 0xFF))
+      lxor Array.unsafe_get t (512 + ((y lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (256 + ((y lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (y lsr 24);
+    i := !i + 8
   done;
-  for j = stop4 to pos + len - 1 do
+  for j = stop8 to pos + len - 1 do
     let x = !c lxor Char.code (Bytes.unsafe_get buf j) in
     c := Array.unsafe_get t (x land 0xFF) lxor (!c lsr 8)
   done;
@@ -92,11 +97,16 @@ let max_log_bytes = max_int lsr len_bits
 let pack ~off ~len = (off lsl len_bits) lor len
 let unpack v = (v lsr len_bits, v land max_payload_len)
 
-let encode_record key payload =
-  let klen = String.length key and plen = String.length payload in
+let check_lengths key payload =
+  let klen = String.length key in
   if klen = 0 || klen > max_key_len then
     invalid_arg "Store.add: key empty or over 65535 bytes";
-  if plen > max_payload_len then invalid_arg "Store.add: payload over 256 MiB";
+  if String.length payload > max_payload_len then
+    invalid_arg "Store.add: payload over 256 MiB"
+
+(* Callers have passed [key] and [payload] through [check_lengths]. *)
+let encode_record key payload =
+  let klen = String.length key and plen = String.length payload in
   let b = Bytes.create (record_size ~klen ~plen) in
   Bytes.set_int32_le b 0 (Int32.of_int klen);
   Bytes.set_int32_le b 4 (Int32.of_int plen);
@@ -259,10 +269,8 @@ let open_ ?(fsync = false) path =
     end;
     let file_size = max file_size magic_len in
     let index = Hashtbl.create 1024 in
-    let dead = ref 0 in
     let valid_end, recovered, _stop =
       scan path ~file_size ~on_record:(fun key ~payload_off ~plen ->
-          if Hashtbl.mem index key then incr dead;
           Hashtbl.replace index key (pack ~off:payload_off ~len:plen))
     in
     let truncated_bytes = file_size - valid_end in
@@ -285,7 +293,7 @@ let open_ ?(fsync = false) path =
         index_m = Mutex.create ();
         index;
         tail = valid_end;
-        dead = !dead;
+        dead = recovered - Hashtbl.length index;
         appends = 0;
         probe_hits = 0;
         probe_misses = 0;
@@ -319,9 +327,24 @@ let mem t key =
   check_open t;
   Mutex.protect t.index_m (fun () -> Hashtbl.mem t.index key)
 
+(* Whether the index already maps [key] to a payload byte-identical
+   to [payload]: equal length from the index, then the bytes read back.
+   The caller holds [append_m] (so the index cannot move) and [read_m]
+   (for the descriptor's [lseek]/[read] pair). *)
+let holds t key payload =
+  match Mutex.protect t.index_m (fun () -> Hashtbl.find_opt t.index key) with
+  | None -> false
+  | Some v ->
+    let off, len = unpack v in
+    len = String.length payload
+    &&
+    let buf = Bytes.create len in
+    pread t.read_fd ~off buf ~len = len
+    && String.equal (Bytes.unsafe_to_string buf) payload
+
 let add t key payload =
   check_open t;
-  let record = encode_record key payload in
+  check_lengths key payload;
   Mutex.protect t.append_m (fun () ->
       Rw_prelude.Hook.fire "store.append";
       (* Torn-write injection: leave a strict prefix of the record on
@@ -331,25 +354,33 @@ let add t key payload =
          that armed the point restarts the store before appending
          again. *)
       if Rw_prelude.Hook.trip "store.append.torn" then begin
+        let record = encode_record key payload in
         really_write t.write_fd
           (Bytes.sub record 0 (max 1 (Bytes.length record / 2)));
         raise (Rw_prelude.Hook.Injected "store.append.torn")
       end;
-      (* Write (one syscall — no userspace buffer to tear), flush if
-         asked, and only then publish in the index: a reader can never
-         be pointed at bytes that are not all on the file. *)
-      let off = t.tail in
-      if off + Bytes.length record > max_log_bytes then
-        failwith (t.path ^ ": log full at 16 GiB; compact it");
-      really_write t.write_fd record;
-      if t.fsync then Unix.fsync t.write_fd;
-      Mutex.protect t.index_m (fun () ->
-          if Hashtbl.mem t.index key then t.dead <- t.dead + 1;
-          Hashtbl.replace t.index key
-            (pack ~off:(off + 8 + String.length key)
-               ~len:(String.length payload));
-          t.appends <- t.appends + 1;
-          t.tail <- off + Bytes.length record))
+      (* A record the index already points at, byte for byte, is not
+         written again: every lookup, reopen and compaction would see
+         the same bytes either way, and the log stays one record per
+         live answer under repeated write-throughs. *)
+      if not (Mutex.protect t.read_m (fun () -> holds t key payload)) then begin
+        let record = encode_record key payload in
+        (* Write (one syscall — no userspace buffer to tear), flush if
+           asked, and only then publish in the index: a reader can
+           never be pointed at bytes that are not all on the file. *)
+        let off = t.tail in
+        if off + Bytes.length record > max_log_bytes then
+          failwith (t.path ^ ": log full at 16 GiB; compact it");
+        really_write t.write_fd record;
+        if t.fsync then Unix.fsync t.write_fd;
+        Mutex.protect t.index_m (fun () ->
+            if Hashtbl.mem t.index key then t.dead <- t.dead + 1;
+            Hashtbl.replace t.index key
+              (pack ~off:(off + 8 + String.length key)
+                 ~len:(String.length payload));
+            t.appends <- t.appends + 1;
+            t.tail <- off + Bytes.length record)
+      end)
 
 let find t key =
   check_open t;
@@ -513,18 +544,16 @@ let verify path =
         then Error (Printf.sprintf "%s: not an rw answer store (bad magic)" path)
         else begin
           let seen = Hashtbl.create 1024 in
-          let dead = ref 0 in
           let valid_end, total, stop =
             scan path ~file_size
               ~on_record:(fun key ~payload_off:_ ~plen:_ ->
-                if Hashtbl.mem seen key then incr dead
-                else Hashtbl.replace seen key ())
+                Hashtbl.replace seen key ())
           in
           Ok
             {
               total_records = total;
               live_records = Hashtbl.length seen;
-              dead_records = !dead;
+              dead_records = total - Hashtbl.length seen;
               file_bytes = file_size;
               valid_prefix_bytes = valid_end;
               checksum_failures = (match stop with Scan_bad_crc -> 1 | _ -> 0);

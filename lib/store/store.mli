@@ -20,7 +20,10 @@
       checksum and truncates the file back to the last whole record.
     - {b Recovery.} {!open_} scans the log front to back, rebuilding
       the key → offset index (later records for a key shadow earlier
-      ones — an overwrite is just an append). The scan validates every
+      ones — an overwrite with a new payload is an append, while a
+      re-add of the payload the key already holds writes nothing, so
+      repeated write-throughs of one answer leave one record to scan).
+      The scan validates every
       CRC, so a record it indexes can never be served corrupt. It is
       one sequential pass through a fixed 64 KiB window (an input
       channel's buffer, refilled by one [read] per 64 KiB): each record
@@ -77,7 +80,12 @@ val mem : t -> string -> bool
 
 val add : t -> string -> string -> unit
 (** Append a record and index it. An existing key is shadowed (the
-    old record becomes dead until {!compact}). Raises [Sys_error] on
+    old record becomes dead until {!compact}) — unless its indexed
+    payload is byte-identical to the new one (same length, then the
+    bytes read back), in which case nothing is written and no counter
+    moves: the index already points at the same bytes. The
+    ["store.append"] and ["store.append.torn"] fault points fire before
+    that comparison, as for any add. Raises [Sys_error] on
     I/O failure, [Invalid_argument] on an over-long key
     ([> 65535] bytes) or payload ([>= 256 MiB] — both far beyond any
     digest/answer this tree produces), and [Failure] when the record
@@ -105,7 +113,9 @@ type stats = {
   path : string;
   live : int;  (** distinct keys *)
   dead : int;  (** shadowed records awaiting compaction *)
-  appends : int;  (** write-throughs this process *)
+  appends : int;
+      (** records written this process; an {!add} of a payload the key
+          already holds is not one *)
   probe_hits : int;
   probe_misses : int;
   recovered : int;
@@ -142,5 +152,5 @@ val crc32 : ?crc:int32 -> bytes -> pos:int -> len:int -> int32
     exposed so tests can forge and corrupt records deliberately.
     [?crc] (default [0l]) continues a previous value, so a CRC over
     two chained calls equals the CRC over the concatenation. Computed
-    four bytes at a time (slicing-by-4). Raises [Invalid_argument]
+    eight bytes at a time (slicing-by-8). Raises [Invalid_argument]
     when [len > 0] and [pos]/[len] leave the buffer. *)

@@ -390,6 +390,33 @@ let test_warm_estimate_no_solver_work () =
       ("broken_arm.kb", "LUsable(Eric) \\/ RUsable(Eric)");
     ]
 
+(* A universal whose body has a binary leaf is outside the unary
+   fragment, even though at the all-false atom the implication never
+   reaches that leaf. Compiling the KB and reading its entropy profile
+   is total, a solve's outcome is cached whatever it is, and a query
+   still answers through the general engines. *)
+let test_non_unary_universal () =
+  let kb = parse "forall x (P(x) => Q(x,x)) /\\ ||P(x)||_x ~=_1 0.3 /\\ P(C)" in
+  let c = C.compile kb in
+  Alcotest.(check int) "no entropy profile outside the fragment" 0
+    (List.length (C.entropy_profile c));
+  let s = C.stats c in
+  Alcotest.(check (option int)) "not in the unary fragment" None s.C.atoms;
+  let tol = List.hd C.default_schedule in
+  let solve () =
+    match C.solve c tol with
+    | _ -> ()
+    | exception (Rw_unary.Constraints.Unsupported _ | Atoms.Not_boolean _) -> ()
+  in
+  solve ();
+  solve ();
+  Alcotest.(check (pair int int)) "the solve's outcome is cached" (1, 1)
+    ((C.stats c).C.solve_misses, (C.stats c).C.solve_hits);
+  let a = Engine.degree_of_belief ~kb (parse "P(C)") in
+  Alcotest.(check string) "answered by enumeration" "enum" a.Answer.engine;
+  Alcotest.(check bool) "P(C) is believed" true
+    (result_eq a.Answer.result (Answer.Point 1.0))
+
 let suite =
   [
     Alcotest.test_case "distinct digests" `Quick test_distinct_digests;
@@ -408,4 +435,6 @@ let suite =
       test_disjuncts_compiled_once;
     Alcotest.test_case "warm estimate does no solver work" `Quick
       test_warm_estimate_no_solver_work;
+    Alcotest.test_case "non-unary universal compiles" `Quick
+      test_non_unary_universal;
   ]

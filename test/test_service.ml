@@ -837,6 +837,46 @@ let test_concurrent_updates_answer_one_state () =
   ignore (upd svc Service.Assert delta);
   Alcotest.(check bool) "state B again: its own answers" true (answers svc = ref_b)
 
+(* Belief change over the durable tier: an assert/retract walk of a
+   disjoint fact flips the KB between two digests, and every update
+   re-keys the cached rules-definitive answers and writes them through.
+   From the first retract on, each write-through is a record the store
+   already holds byte for byte, so the log keeps one record per (digest,
+   query) pair and none goes dead. *)
+let test_session_walk_store_dedupes () =
+  let path = Filename.temp_file "rw_service_test" ".rws" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let store =
+    match Rw_store.Store.open_ path with
+    | Ok (s, _) -> s
+    | Error msg -> Alcotest.failf "open %s failed: %s" path msg
+  in
+  let svc = Service.create ~store () in
+  Service.load_kb svc (Rw_kbzoo.Kbzoo.hep_simple ());
+  let qs = List.map parse [ "Hep(Eric)"; "~Hep(Eric)" ] in
+  let first = List.map (fun q -> fst (ask svc q)) qs in
+  List.iter
+    (fun a ->
+      Alcotest.(check string) "rules-definitive" "rules" a.Answer.engine)
+    first;
+  List.iter
+    (fun action ->
+      let o = upd svc action "Wet(Sam)" in
+      Alcotest.(check int) "both entries revalidated" 2 o.Service.revalidated)
+    Service.[ Assert; Retract; Assert; Retract ];
+  List.iter2
+    (fun q a ->
+      let a', org = ask svc q in
+      Alcotest.check origin "served from the LRU" Service.Cached org;
+      Alcotest.(check bool) "answer identical after the walk" true (a = a'))
+    qs first;
+  let st = Rw_store.Store.stats store in
+  Alcotest.(check int) "one record per digest and query" 4
+    st.Rw_store.Store.live;
+  Alcotest.(check int) "no dead records" 0 st.Rw_store.Store.dead;
+  Rw_store.Store.close store
+
 let suite =
   [
     ("canonical: alpha renaming", `Quick, test_canon_alpha);
@@ -888,4 +928,6 @@ let suite =
      test_session_provenance_bounded);
     ("session: queries racing 200 updates each answer for one state", `Quick,
      test_concurrent_updates_answer_one_state);
+    ("session: an assert/retract walk leaves no dead store records", `Quick,
+     test_session_walk_store_dedupes);
   ]

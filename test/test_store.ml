@@ -554,7 +554,7 @@ let test_crc_known_answer () =
     (Store.crc32 ~crc:(Store.crc32 b ~pos:0 ~len:4) b ~pos:4 ~len:5);
   Alcotest.(check int32) "empty input" 0l (Store.crc32 b ~pos:9 ~len:0)
 
-(* Every length 0–300 (so every remainder of the 4-byte stride), at
+(* Every length 0–300 (so every remainder of the 8-byte stride), at
    offsets 0–7 into the buffer, from a random starting CRC, split at a
    random point into two chained calls. *)
 let prop_crc_matches_bitwise =
@@ -582,6 +582,92 @@ let prop_crc_matches_bitwise =
            b ~pos:(pos + split) ~len:(len - split)
          = expected)
 
+(* ------------------------------------------------------------------ *)
+(* Identical re-adds                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The file, [appends] and [dead] as one comparable triple. *)
+let footprint t =
+  let s = Store.stats t in
+  (s.Store.file_bytes, s.Store.appends, s.Store.dead)
+
+let triple = Alcotest.(triple int int int)
+
+(* Re-adding the payload a key already holds writes nothing: the index
+   already points at those bytes, so the log keeps one record. *)
+let test_identical_readd () =
+  let path = temp_path () in
+  let t, _ = open_exn path in
+  Store.add t "k" "the-answer";
+  let once = footprint t in
+  Store.add t "k" "the-answer";
+  Store.add t "k" "the-answer";
+  Alcotest.check triple "identical re-adds change nothing" once (footprint t);
+  Alcotest.(check (option string)) "served" (Some "the-answer")
+    (Store.find t "k");
+  Store.close t;
+  let t, report = open_exn path in
+  Alcotest.(check int) "reopen recovers one record" 1 report.Store.recovered;
+  Alcotest.(check int) "one live key" 1 report.Store.live;
+  let reopened = footprint t in
+  Store.add t "k" "the-answer";
+  Alcotest.check triple "identical re-add after a reopen changes nothing"
+    reopened (footprint t);
+  Alcotest.(check int) "nothing dead" 0 (Store.stats t).Store.dead;
+  Store.close t
+
+(* The comparison is on bytes, not lengths: a payload of the same length
+   but different content still appends and shadows the old one, and so
+   does going back to the first payload. *)
+let test_same_length_readd_appends () =
+  let path = temp_path () in
+  let t, _ = open_exn path in
+  Store.add t "k" "aaaa";
+  let bytes1, _, _ = footprint t in
+  Store.add t "k" "bbbb";
+  let bytes2, appends, dead = footprint t in
+  Alcotest.(check bool) "the file grew" true (bytes2 > bytes1);
+  Alcotest.(check (pair int int)) "appended and shadowed" (2, 1)
+    (appends, dead);
+  Alcotest.(check (option string)) "newest payload served" (Some "bbbb")
+    (Store.find t "k");
+  Store.add t "k" "aaaa";
+  let _, appends, dead = footprint t in
+  Alcotest.(check (pair int int)) "the older payload appends again" (3, 2)
+    (appends, dead);
+  Store.close t;
+  let t, report = open_exn path in
+  Alcotest.(check (pair int int)) "three records, one live" (3, 1)
+    (report.Store.recovered, report.Store.live);
+  Alcotest.(check (option string)) "last write wins on reopen" (Some "aaaa")
+    (Store.find t "k");
+  Store.close t
+
+(* Identical re-adds on either side of a compaction: before it they
+   leave the dead count alone, after it they find the rewritten records
+   and leave the compacted log as it is. *)
+let test_identical_readd_compaction () =
+  let path = temp_path () in
+  let t, _ = open_exn path in
+  Store.add t "k1" "v1";
+  Store.add t "k1" "v1-prime";
+  Store.add t "k2" "v2";
+  let before = footprint t in
+  Store.add t "k1" "v1-prime";
+  Store.add t "k2" "v2";
+  Alcotest.check triple "re-adds before compaction change nothing" before
+    (footprint t);
+  Store.compact t;
+  let compacted = footprint t in
+  Store.add t "k1" "v1-prime";
+  Store.add t "k2" "v2";
+  Alcotest.check triple "re-adds after compaction change nothing" compacted
+    (footprint t);
+  Alcotest.(check (list (option string))) "mapping unchanged"
+    [ Some "v1-prime"; Some "v2" ]
+    [ Store.find t "k1"; Store.find t "k2" ];
+  Store.close t
+
 let suite =
   [
     ("store: shadowing writes and reopen", `Quick, test_persistence);
@@ -606,4 +692,9 @@ let suite =
       ~rand:(Random.State.make [| 23 |])
       prop_crc_matches_bitwise;
     ("store: a log over 16 GiB is refused", `Quick, test_log_size_ceiling);
+    ("store: an identical re-add writes nothing", `Quick, test_identical_readd);
+    ("store: a same-length new payload still appends", `Quick,
+      test_same_length_readd_appends);
+    ("store: identical re-adds around a compaction", `Quick,
+      test_identical_readd_compaction);
   ]
