@@ -303,7 +303,7 @@ let run_batch kb_path queries_path cache_size budget jobs json verbose =
           !failures;
         let c = stats.Rw_service.Service.compiled in
         Fmt.epr "-- compiled KBs: %d reuses, %d compiles (%.1f ms compiling)@."
-          c.Rw_service.Service.compiled_cache.Rw_service.Lru.hits
+          c.Rw_service.Service.hits
           c.Rw_service.Service.compiles
           c.Rw_service.Service.compile_ms_total
       end;

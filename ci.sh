@@ -48,7 +48,7 @@ dune exec bin/rw.exe -- fuzz --seed 42 --cases 500 --oracle agreement \
 dune exec bin/rw.exe -- fuzz --seed 42 --cases 500 --oracle update \
   --jobs 2
 
-# Whole-system simulation (doc/SIMULATION.md). Three gates:
+# Whole-system simulation (doc/SIMULATION.md). Four gates:
 #
 # 1. Fault sweep: a pinned-seed 300-step run with the fault plane on —
 #    failed and torn store writes, failed fsyncs, failed compiles,
@@ -58,8 +58,8 @@ dune exec bin/rw.exe -- fuzz --seed 42 --cases 500 --oracle update \
 # Each sim step runs under `timeout`, like the snapshot step below: a
 # failing run goes on to shrink its op sequence, and a shrink that
 # outlives its own deadline must fail the gate, not stall it.
-timeout 300 _build/default/bin/rw.exe sim --seed 3 --steps 300 --faults \
-  --max-size 4 > /dev/null \
+sim_faults=$(timeout 300 _build/default/bin/rw.exe sim --seed 3 --steps 300 \
+  --faults --max-size 4) \
   || { echo "ci: sim fault sweep failed or timed out (exit $?)" >&2; exit 1; }
 # 2. Determinism: the same 200-step run twice must produce a
 #    byte-identical event log — digests, origins, fault firings, the
@@ -74,7 +74,16 @@ sim2=$(timeout 300 _build/default/bin/rw.exe sim --seed 42 --steps 200 \
        exit 1; }
 [ "$sim1" = "$sim2" ] \
   || { echo "ci: sim event log is not deterministic" >&2; exit 1; }
-# 3. Seed validation (shared with fuzz): an overflowing --seed is a
+# 3. Golden: the summary lines of the two runs above (step count,
+#    event-log digest, violations, fired fault points) are pinned in
+#    test/golden/sim.txt, so a change that moves any simulated answer,
+#    origin or fault firing fails here, not only one that makes two
+#    runs of one build disagree. A deliberate change regenerates the
+#    file from these two runs' last lines.
+{ printf '%s\n' "$sim_faults" | tail -n 1; printf '%s\n' "$sim1" | tail -n 1; } \
+  | diff -u test/golden/sim.txt - \
+  || { echo "ci: rw sim summaries differ from test/golden/sim.txt" >&2; exit 1; }
+# 4. Seed validation (shared with fuzz): an overflowing --seed is a
 #    usage error (exit 2), never a silent wrap into a different run.
 seed_rc=0
 dune exec bin/rw.exe -- sim --seed 4611686018427387904 --steps 1 \

@@ -568,11 +568,16 @@ let explain ~options (c : Gen.case) =
    the negated query: same vocabulary, so it fills the very cells the
    query then reads (memoised solves re-raise cached failures, profile
    tables preserve accumulation order, the MC importance tilt is
-   proposal-identical). *)
+   proposal-identical). Compile is also total: every KB compiles and
+   its entropy profile (a solve at every default tolerance) returns,
+   whatever its shape — deterministically, so the check draws nothing
+   from the generator's streams. *)
 let compiled ~options (c : Gen.case) =
+  let module C = Rw_compile.Compiled_kb in
   let kb = Gen.kb_formula c and query = c.Gen.query in
   match
-    let warm = Rw_compile.Compiled_kb.compile kb in
+    ignore (C.entropy_profile (C.compile kb));
+    let warm = C.compile kb in
     ignore (Engine.infer ~options ~compiled:warm ~kb (Syntax.Not query));
     let tr_w = Rw_trace.Trace.create () in
     let tr_f = Rw_trace.Trace.create () in
@@ -582,7 +587,7 @@ let compiled ~options (c : Gen.case) =
   with
   | exception e ->
     [
-      violationf "compiled" "warm-artifact dispatch raised %s"
+      violationf "compiled" "compile or warm-artifact dispatch raised %s"
         (Printexc.to_string e);
     ]
   | a, b, ev_w, ev_f ->

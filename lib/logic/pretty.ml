@@ -74,16 +74,7 @@ and pp_prop_prec prec ppf z =
        representation that round-trips. *)
     if Float.is_integer x && Float.abs x < 1e15 then
       Fmt.pf ppf "%d" (int_of_float x)
-    else begin
-      let rec shortest p =
-        if p > 17 then Printf.sprintf "%.17g" x
-        else begin
-          let s = Printf.sprintf "%.*g" p x in
-          if float_of_string s = x then s else shortest (p + 1)
-        end
-      in
-      Fmt.string ppf (shortest 1)
-    end
+    else Fmt.string ppf (Rw_prelude.Floats.shortest_repr x)
   | Prop (f, xs) ->
     Fmt.pf ppf "||%a||%a" (pp_formula_prec 0) f pp_subscript xs
   | Cond (f, g, xs) ->

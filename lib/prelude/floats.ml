@@ -42,6 +42,14 @@ let max_abs_diff xs ys =
   in
   go 0.0 xs ys
 
+(** The shortest ["%.*g"] rendering of [x] that reads back as [x]. *)
+let shortest_repr x =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p x in
+    if p >= 17 || float_of_string s = x then s else go (p + 1)
+  in
+  go 1
+
 (** Pretty-print a probability with enough digits to distinguish the
     values appearing in the paper (e.g. 0.47, 0.9411…). *)
 let pp_prob ppf x = Fmt.pf ppf "%.6g" x

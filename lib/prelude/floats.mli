@@ -33,6 +33,11 @@ val max_abs_diff : float list -> float list -> float
 (** [max_abs_diff xs ys] is the L∞ distance between two equal-length
     lists. Raises [Invalid_argument] on length mismatch. *)
 
+val shortest_repr : float -> string
+(** The shortest ["%.*g"] rendering of [x] that [float_of_string] reads
+    back as [x] (["%.17g"] when none does, e.g. nan). The JSON encoder
+    and the formula printer share it, each with its own integer form. *)
+
 val pp_prob : Format.formatter -> float -> unit
 (** Pretty-print a probability with enough digits to distinguish the
     values appearing in the paper (e.g. 0.47, 0.9411…). *)

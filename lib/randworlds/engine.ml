@@ -23,7 +23,6 @@ type options = {
   tols : Tolerance.t list option;  (** tolerance schedule override *)
   unary_sizes : int list option;  (** domain sizes for the unary engine *)
   enum_sizes : int list option;  (** domain sizes for the enumeration engine *)
-  use_enum : bool;  (** allow the (expensive) literal engine *)
   mc_seed : int;  (** PRNG seed for the Monte-Carlo engine *)
   mc_samples : int option;  (** Monte-Carlo sample budget override *)
   mc_ci_width : float option;  (** Monte-Carlo target CI half-width *)
@@ -37,7 +36,6 @@ let default_options =
     tols = None;
     unary_sizes = None;
     enum_sizes = None;
-    use_enum = true;
     mc_seed = Mc_engine.default_seed;
     mc_samples = None;
     mc_ci_width = None;
@@ -247,10 +245,6 @@ and fallback ~options ~pool ~trace ~kb c query =
     in
     if Answer.definitive a then
       selected trace "exact unary counting was definitive" a
-    else if not options.use_enum then
-      selected trace "every engine declined"
-        (Answer.make ~engine:"dispatch"
-           (Answer.Not_applicable "no engine applicable (enum disabled)"))
     else begin
       let vocab = world_vocab c query in
       (* A tighter guard than the raw engine's: the dispatcher is a

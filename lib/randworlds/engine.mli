@@ -20,7 +20,6 @@ type options = {
   tols : Tolerance.t list option;  (** tolerance schedule override *)
   unary_sizes : int list option;  (** domain sizes for the unary engine *)
   enum_sizes : int list option;  (** domain sizes for enumeration *)
-  use_enum : bool;  (** allow the (expensive) literal engine *)
   mc_seed : int;  (** PRNG seed for the Monte-Carlo engine *)
   mc_samples : int option;  (** Monte-Carlo sample budget override *)
   mc_ci_width : float option;  (** Monte-Carlo target CI half-width *)

@@ -39,18 +39,8 @@ let escape_into buf s =
    pretty-printer), with a JSON-syntax guarantee: always contains a
    '.', 'e' or leading digit form acceptable to strict parsers. *)
 let float_repr x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.1f" x
-  else begin
-    let rec shortest p =
-      if p > 17 then Printf.sprintf "%.17g" x
-      else begin
-        let s = Printf.sprintf "%.*g" p x in
-        if float_of_string s = x then s else shortest (p + 1)
-      end
-    in
-    shortest 1
-  end
+  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+  else Rw_prelude.Floats.shortest_repr x
 
 let rec encode buf = function
   | Null -> Buffer.add_string buf "null"

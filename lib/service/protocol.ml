@@ -114,12 +114,8 @@ let json_of_store_stats (s : Rw_store.Store.stats) =
 let json_of_compiled_stats (c : Service.compiled_stats) =
   Json.Obj
     [
-      ("hits", Json.Int c.Service.compiled_cache.Lru.hits);
-      ("misses", Json.Int c.Service.compiled_cache.Lru.misses);
-      ("evictions", Json.Int c.Service.compiled_cache.Lru.evictions);
-      ("removed", Json.Int c.Service.compiled_cache.Lru.removed);
-      ("size", Json.Int c.Service.compiled_cache.Lru.size);
-      ("capacity", Json.Int c.Service.compiled_cache.Lru.capacity);
+      ("hits", Json.Int c.Service.hits);
+      ("misses", Json.Int c.Service.misses);
       ("compiles", Json.Int c.Service.compiles);
       ("compile_ms_total", Json.Float c.Service.compile_ms_total);
     ]

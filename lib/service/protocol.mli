@@ -76,9 +76,8 @@ val json_of_answer :
 
 val json_of_stats : Service.stats -> Json.t
 (** The serve [stats] payload; includes a ["compiled"] object
-    (compiled-KB artifact cache hits/misses/evictions/size/capacity,
-    compile count and total compile milliseconds) when the compiled
-    tier is enabled, a ["store"] object (see {!json_of_store_stats})
+    (artifact hits/misses, compile count and total compile
+    milliseconds), a ["store"] object (see {!json_of_store_stats})
     when a durable tier is attached, and always a ["session"] object
     (update/revalidation/eviction/reclaim counters). *)
 

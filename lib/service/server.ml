@@ -336,98 +336,116 @@ let frame pending chunk n on_line =
       Buffer.clear pending;
       match on_line line with
       | `Continue -> go (i + 1) (i + 1)
-      | `Close -> `Close
+      | stop -> stop
     end
   in
   go 0 0
 
 let max_line_bytes = 1 lsl 20
 
-(* The per-connection loop: select-with-timeout framing so the thread
+(* The request loop of both serve modes. [read chunk] fills [chunk]
+   and returns the byte count — [Some 0] at end of input, [None] to
+   stop reading. Every non-blank line goes to [handle] and its reply to
+   [emit]; a [`Quit] reply ends the loop with [`Close]. At end of input
+   a non-blank remainder (a last line that lost its newline) is handled
+   too, after [on_tail]. A completed line longer than [max_line_bytes],
+   or an unterminated tail grown past it, gets an [ok:false] reply and
+   ends the loop with [`Oversized], so a reader holds at most that much
+   plus one read of unterminated input. *)
+let read_lines ~read ~emit ?(on_tail = ignore) handle =
+  let chunk = Bytes.create 8192 in
+  let pending = Buffer.create 256 in
+  let on_line line =
+    if String.length line > max_line_bytes then `Oversized
+    else if String.trim line = "" then `Continue
+    else
+      match handle line with
+      | `Reply reply ->
+        emit reply;
+        `Continue
+      | `Quit reply ->
+        emit reply;
+        `Close
+  in
+  let rec loop () =
+    match read chunk with
+    | None -> `Stopped
+    | Some 0 -> (
+      let tail = Buffer.contents pending in
+      if String.trim tail = "" then `Eof
+      else begin
+        on_tail ();
+        match on_line tail with `Close -> `Close | _ -> `Eof
+      end)
+    | Some n -> (
+      match frame pending chunk n on_line with
+      | `Continue when Buffer.length pending > max_line_bytes -> `Oversized
+      | `Continue -> loop ()
+      | (`Close | `Oversized) as stop -> stop)
+  in
+  match loop () with
+  | `Oversized ->
+    Log.warn (fun m -> m "request line over %d bytes; closing" max_line_bytes);
+    emit
+      (Protocol.error_reply
+         (Printf.sprintf "request line exceeds %d bytes; closing connection"
+            max_line_bytes));
+    `Oversized
+  | stop -> stop
+
+(* The per-connection loop: select-with-timeout reads so the thread
    can notice [closing] and the idle deadline between reads. One
    request is processed at a time per connection; [closing] is only
    checked between requests, which is exactly the drain contract — an
    in-flight request always finishes and its reply is flushed. A line
    longer than [max_line_bytes] gets an error reply and the connection
-   is closed, so one connection holds at most that much plus one read
-   of unterminated input. *)
+   is closed. *)
 let conn_loop st fd =
-  let chunk = Bytes.create 8192 in
-  let pending = Buffer.create 256 in
   (* Monotonic, so a wall-clock step can neither fire nor postpone an
      idle timeout. *)
   let now = Rw_pool.Budget.now in
   let last_activity = ref (now ()) in
-  let refuse_oversized () =
-    Log.warn (fun m -> m "request line over %d bytes; closing" max_line_bytes);
-    emit_fd fd
-      (Protocol.error_reply
-         (Printf.sprintf "request line exceeds %d bytes; closing connection"
-            max_line_bytes))
-  in
-  let process_line line =
-    if String.length line > max_line_bytes then begin
-      refuse_oversized ();
-      `Close
-    end
-    else if String.trim line = "" then `Continue
-    else begin
-      counted st (fun st -> st.conn_requests <- st.conn_requests + 1);
-      match decode_line (listen_dispatch st) line with
-      | `Reply reply ->
-        emit_fd fd reply;
-        `Continue
-      | `Quit reply ->
-        emit_fd fd reply;
-        Atomic.set st.closing true;
-        `Close
-    end
+  let handle line =
+    counted st (fun st -> st.conn_requests <- st.conn_requests + 1);
+    decode_line (listen_dispatch st) line
   in
   let idle_expired () =
     match st.idle_timeout with
     | Some t -> now () -. !last_activity > t
     | None -> false
   in
-  let rec loop () =
-    if Atomic.get st.closing then ()
+  let rec read chunk =
+    if Atomic.get st.closing then None
     else
       match Unix.select [ fd ] [] [] 0.25 with
       | [], _, _ ->
         if idle_expired () then begin
           counted st (fun st -> st.idle_closed <- st.idle_closed + 1);
-          emit_fd fd (Protocol.error_reply "idle timeout; closing connection")
+          emit_fd fd (Protocol.error_reply "idle timeout; closing connection");
+          None
         end
-        else loop ()
-      | _ -> (
+        else read chunk
+      | _ ->
         let n =
           try Unix.read fd chunk 0 (Bytes.length chunk)
           with Unix.Unix_error _ -> 0
         in
         last_activity := now ();
-        if n = 0 then begin
-          (* EOF. A non-empty remainder is a truncated NDJSON line —
-             the client hung up (or shut down its write side) without
-             the newline. The contract says every line gets a reply
-             object, so run it through the normal path: malformed JSON
-             yields the documented {"ok":false,"error":...} object,
-             and a line that merely lost its newline still gets its
-             real answer. *)
-          if String.trim (Buffer.contents pending) <> "" then begin
-            counted st (fun st -> st.truncated <- st.truncated + 1);
-            Log.warn (fun m -> m "connection closed mid-line; replying anyway");
-            ignore (process_line (Buffer.contents pending));
-            Buffer.clear pending
-          end
-        end
-        else begin
-          match frame pending chunk n process_line with
-          | `Continue when Buffer.length pending > max_line_bytes ->
-            refuse_oversized ()
-          | `Continue -> loop ()
-          | `Close -> ()
-        end)
+        Some n
   in
-  loop ()
+  (* A remainder at EOF is a truncated NDJSON line — the client hung up
+     (or shut down its write side) without the newline. The contract
+     says every line gets a reply object, so it runs through the normal
+     path: malformed JSON yields the documented {"ok":false,"error":...}
+     object, and a line that merely lost its newline still gets its
+     real answer. *)
+  let on_tail () =
+    counted st (fun st -> st.truncated <- st.truncated + 1);
+    Log.warn (fun m -> m "connection closed mid-line; replying anyway")
+  in
+  match read_lines ~read ~emit:(emit_fd fd) ~on_tail handle with
+  | `Close -> Atomic.set st.closing true
+  | `Eof | `Oversized | `Stopped -> ()
 
 let conn_main st fd =
   Fun.protect
@@ -575,19 +593,10 @@ let run ?(ic = stdin) ?(oc = stdout) service =
     output_char oc '\n';
     flush oc
   in
-  let rec loop () =
-    match input_line ic with
-    | exception End_of_file ->
-      Log.info (fun m -> m "eof; exiting");
-      0
-    | line when String.trim line = "" -> loop ()
-    | line -> (
-      match handle_line service line with
-      | `Reply reply ->
-        emit reply;
-        loop ()
-      | `Quit reply ->
-        emit reply;
-        0)
-  in
-  loop ()
+  let read chunk = Some (input ic chunk 0 (Bytes.length chunk)) in
+  match read_lines ~read ~emit (handle_line service) with
+  | `Eof ->
+    Log.info (fun m -> m "eof; exiting");
+    0
+  | `Close | `Stopped -> 0
+  | `Oversized -> 1

@@ -22,7 +22,8 @@ val frame :
   int ->
   (string -> [ `Continue | `Close ]) ->
   [ `Continue | `Close ]
-(** [frame pending chunk n on_line] — the listener's NDJSON framing.
+(** [frame pending chunk n on_line] — the NDJSON framing of both serve
+    modes.
     Appends the first [n] bytes of [chunk] to the unterminated line
     held in [pending], calling [on_line] on every line a newline
     completes (newline stripped) until one returns [`Close]; the tail
@@ -33,8 +34,10 @@ val frame :
 val run : ?ic:in_channel -> ?oc:out_channel -> Service.t -> int
 (** Read requests from [ic] (default stdin) until [shutdown] or EOF,
     writing one reply line per request to [oc] (default stdout,
-    flushed per reply), each through {!handle_line}. Returns the
-    process exit code (0 on clean shutdown or EOF). *)
+    flushed per reply), each through {!handle_line}. A line longer
+    than {!max_line_bytes} gets the listener's [ok:false] reply and
+    ends the session. Returns the process exit code: 0 on clean
+    shutdown or EOF, 1 after an oversized line. *)
 
 (** {2 The socket listener}
 
@@ -64,8 +67,8 @@ val run : ?ic:in_channel -> ?oc:out_channel -> Service.t -> int
     ["server"]. *)
 
 val max_line_bytes : int
-(** The longest request line (newline excluded) a listener
-    connection may send: 1 MiB. *)
+(** The longest request line (newline excluded) a client may send,
+    over a listener connection or to {!run}: 1 MiB. *)
 
 type addr = Unix_path of string | Tcp of string * int
 

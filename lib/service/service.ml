@@ -15,7 +15,7 @@ type config = {
 let default_config =
   {
     cache_capacity = 1024;
-    compiled_capacity = 8;
+    compiled_capacity = 1;
     parallel_threshold = 8;
     budget = None;
     engine_options = Engine.default_options;
@@ -148,26 +148,26 @@ type session_event = {
 type update_action = Assert | Retract
 
 (* One resident KB state: the formula, its canonical digest (the
-   prefix of every cache key answered for it) and its conjunct list,
-   the granularity at which sessions assert and retract. *)
+   prefix of every cache key answered for it), its conjunct list (the
+   unit sessions assert and retract) and its compiled artifact. *)
 type snapshot = {
   kb : Syntax.formula;
   digest : string;
   conjuncts : Syntax.formula list;
+  artifact : Rw_compile.Compiled_kb.t option Atomic.t;
 }
 
 type t = {
   config : config;
   cache : entry Lru.Sync.t;
-  compiled : Rw_compile.Compiled_kb.t Lru.Sync.t;
-      (** compiled-KB artifacts keyed by canonical KB digest; the LRU's
-          hit/miss/eviction counters are the compile-cache counters *)
   compile_m : Mutex.t;
       (** serialises compilation so a parallel batch's first wave
-          compiles each KB exactly once; also guards
+          compiles each snapshot exactly once; also guards
           [compile_ms_total] *)
   mutable compile_ms_total : float;
   compiles : int Atomic.t;
+  artifact_hits : int Atomic.t;
+  artifact_misses : int Atomic.t;
   store : Rw_store.Store.t option;
       (** the durable tier under the LRU; appends serialized inside
           the store, probes near-lock-free — safe from pool workers *)
@@ -205,18 +205,19 @@ type t = {
    Render them all deterministically and hash. The pool width is
    deliberately not an option: the Monte-Carlo chunk seeding makes
    answers width-invariant, so services borrowing pools of different
-   widths answer from interchangeable cache entries. *)
+   widths answer from interchangeable cache entries. [use_enum=true]
+   stands for a deleted knob, so existing durable stores keep their keys. *)
 let options_fingerprint (o : Engine.options) =
   let ints = function
     | None -> "-"
     | Some xs -> String.concat "," (List.map string_of_int xs)
   in
   let s =
-    Printf.sprintf "tols=%s;unary=%s;enum=%s;use_enum=%b;seed=%d;samples=%s;ciw=%s;mcns=%s;xchk=%b"
+    Printf.sprintf "tols=%s;unary=%s;enum=%s;use_enum=true;seed=%d;samples=%s;ciw=%s;mcns=%s;xchk=%b"
       (match o.Engine.tols with
       | None -> "-"
       | Some ts -> String.concat ";" (List.map Tolerance.fingerprint ts))
-      (ints o.Engine.unary_sizes) (ints o.Engine.enum_sizes) o.Engine.use_enum
+      (ints o.Engine.unary_sizes) (ints o.Engine.enum_sizes)
       o.Engine.mc_seed
       (match o.Engine.mc_samples with None -> "-" | Some n -> string_of_int n)
       (match o.Engine.mc_ci_width with None -> "-" | Some w -> Printf.sprintf "%h" w)
@@ -225,13 +226,16 @@ let options_fingerprint (o : Engine.options) =
   Digest.to_hex (Digest.string s)
 
 let create ?(config = default_config) ?store ?pool () =
+  if config.compiled_capacity < 0 then
+    invalid_arg "Service.create: negative compiled_capacity";
   {
     config;
     cache = Lru.Sync.create ~capacity:config.cache_capacity;
-    compiled = Lru.Sync.create ~capacity:config.compiled_capacity;
     compile_m = Mutex.create ();
     compile_ms_total = 0.0;
     compiles = Atomic.make 0;
+    artifact_hits = Atomic.make 0;
+    artifact_misses = Atomic.make 0;
     store;
     pool;
     opts_digest = options_fingerprint config.engine_options;
@@ -265,39 +269,36 @@ let log_event t ev =
   t.session_log_rev <- ev :: t.session_log_rev;
   t.session_log_len <- t.session_log_len + 1
 
-(* Swapping in a whole new KB retires every cache entry of the old one:
-   without this, a long-lived serve process that cycles KBs fills the
-   answer LRU and the compiled-artifact cache with unreachable
-   old-digest entries that squat on capacity until recency pressure
-   happens to evict them. Reloading the same KB (digest unchanged)
-   keeps everything — the entries are still valid. A query still
+(* Swapping in a whole new KB retires every answer-cache entry of the
+   old one: without this, a long-lived serve process that cycles KBs
+   fills the answer LRU with unreachable old-digest entries that squat
+   on capacity until recency pressure happens to evict them. Reloading
+   the same KB (digest unchanged) keeps the entries, which are still
+   valid; the very same formula also keeps its artifact. A query still
    answering for the old snapshot may fill an old-digest entry after
    the reclaim: a correct answer for that state, evicted in time. *)
 let load_kb t kb =
   Mutex.protect t.session_m @@ fun () ->
   let t0 = Rw_prelude.Clock.now () in
-  let before =
-    match Atomic.get t.resident with Some s -> s.digest | None -> ""
-  in
+  let resident = Atomic.get t.resident in
+  let before = match resident with Some s -> s.digest | None -> "" in
   let digest = Canonical.digest kb in
   let swapped = before <> "" && before <> digest in
   let reclaimed =
     if swapped then begin
       let prefix = before ^ "|" in
-      let n =
-        Lru.Sync.remove_if t.cache (fun key _ ->
-            String.starts_with ~prefix key)
-      in
-      ignore (Lru.Sync.remove_if t.compiled (fun key _ -> key = before));
-      n
+      Lru.Sync.remove_if t.cache (fun key _ -> String.starts_with ~prefix key)
     end
     else 0
   in
   t.swap_reclaimed_total <- t.swap_reclaimed_total + reclaimed;
+  let artifact =
+    match resident with Some s when s.kb = kb -> s.artifact | _ -> Atomic.make None
+  in
   (* The conjunct list is the unary analyser's split, so the session's
      reconstructed [Syntax.conj conjuncts] round-trips structurally. *)
-  Atomic.set t.resident
-    (Some { kb; digest; conjuncts = Rw_unary.Analysis.split_conjuncts kb });
+  let conjuncts = Rw_unary.Analysis.split_conjuncts kb in
+  Atomic.set t.resident (Some { kb; digest; conjuncts; artifact });
   Atomic.incr t.kb_loads;
   t.seq <- t.seq + 1;
   log_event t
@@ -381,53 +382,48 @@ let degraded_answer compiled ~budget q =
         budget;
     ]
 
-(* The compiled-artifact tier: one {!Rw_compile.Compiled_kb.t} per
-   resident KB digest, shared by every query against that KB. The LRU
-   fast path is lock-free of the compile mutex; a miss takes
-   [compile_m] and re-probes, so a parallel batch's first wave
-   compiles exactly once (the losers of the race block on the mutex
-   and find the winner's artifact). Digests identify KBs only up to
-   canonical renaming, so a cache hit is verified structurally
-   ({!Rw_compile.Compiled_kb.matches}) before reuse — a mismatch
-   recompiles for the actual KB and replaces the entry. With
-   [compiled_capacity = 0] nothing stays resident and every call
-   compiles. The compile is the syntactic pass only, so it runs
-   outside any request budget. [compile.kb] is the fault point of a
-   failed compile: [Hook.Injected] reaches the caller. *)
-let compiled_for t { kb; digest; _ } =
+(* The snapshot's compiled artifact ({!Rw_compile.Compiled_kb.t}),
+   shared by every query against that state. A filled cell is read
+   without the compile mutex; an empty one takes [compile_m] and
+   re-reads, so a parallel batch's first wave compiles exactly once
+   (the losers of the race block on the mutex and find the winner's
+   artifact). With [compiled_capacity = 0] the cell is never filled
+   and every call compiles. The compile is the syntactic pass only, so
+   it runs outside any request budget. [compile.kb] is the fault point
+   of a failed compile: [Hook.Injected] reaches the caller. *)
+let compiled_for t snap =
   let module C = Rw_compile.Compiled_kb in
-  let fresh () =
-    Rw_prelude.Hook.fire "compile.kb";
-    let c = C.compile kb in
-    Lru.Sync.add t.compiled digest c;
-    Atomic.incr t.compiles;
-    t.compile_ms_total <- t.compile_ms_total +. C.compile_ms c;
-    c
+  let rec get ~locked =
+    match Atomic.get snap.artifact with
+    | Some c ->
+      Atomic.incr t.artifact_hits;
+      c
+    | None when not locked -> Mutex.protect t.compile_m (fun () -> get ~locked:true)
+    | None ->
+      Rw_prelude.Hook.fire "compile.kb";
+      let c = C.compile snap.kb in
+      if t.config.compiled_capacity > 0 then Atomic.set snap.artifact (Some c);
+      Atomic.incr t.artifact_misses;
+      Atomic.incr t.compiles;
+      t.compile_ms_total <- t.compile_ms_total +. C.compile_ms c;
+      c
   in
-  match Lru.Sync.find t.compiled digest with
-  | Some c when C.matches c kb -> c
-  | Some _ | None ->
-    Mutex.protect t.compile_m (fun () ->
-        match Lru.Sync.find t.compiled digest with
-        | Some c when C.matches c kb -> c
-        | Some _ | None -> fresh ())
+  get ~locked:false
 
-let artifact t =
-  match Atomic.get t.resident with
-  | None -> None
-  | Some { kb; digest; _ } -> (
-    match Lru.Sync.find t.compiled digest with
-    | Some c when Rw_compile.Compiled_kb.matches c kb -> Some c
-    | _ -> None)
+let artifact t = Option.bind (Atomic.get t.resident) (fun s -> Atomic.get s.artifact)
 
-(* Drop every memory-tier entry. Correctness-neutral by construction:
-   the LRU and the artifact cache are pure memoisation, so the next
-   query recomputes (or re-probes the durable store) and must produce
-   the identical answer — the property the simulator's [evict] op
-   checks. *)
+(* Drop every memory-tier entry: the answer LRU and the resident
+   snapshot's artifact. Correctness-neutral by construction: both are
+   pure memoisation, so the next query recomputes (or re-probes the
+   durable store) and must produce the identical answer — the property
+   the simulator's [evict] op checks. *)
 let evict_all t =
   let answers = Lru.Sync.remove_if t.cache (fun _ _ -> true) in
-  let artifacts = Lru.Sync.remove_if t.compiled (fun _ _ -> true) in
+  let artifacts =
+    match Atomic.get t.resident with
+    | Some s when Atomic.exchange s.artifact None <> None -> 1
+    | _ -> 0
+  in
   (answers, artifacts)
 
 (* ------------------------------------------------------------------ *)
@@ -567,12 +563,10 @@ let update ?src t action f =
          maxent cells and memo tables across deltas that leave the
          optimisation problem untouched (evidence-only updates). *)
       let artifact, carried =
-        match Lru.Sync.find t.compiled before with
-        | Some c when C.matches c snap.kb -> C.update c kb_new
-        | _ -> (C.compile kb_new, false)
+        match Atomic.get snap.artifact with
+        | Some c -> C.update c kb_new
+        | None -> (C.compile kb_new, false)
       in
-      ignore (Lru.Sync.remove_if t.compiled (fun k _ -> k = before));
-      Lru.Sync.add t.compiled after artifact;
       if carried then t.artifact_carries <- t.artifact_carries + 1
       else begin
         Atomic.incr t.compiles;
@@ -609,8 +603,11 @@ let update ?src t action f =
         end
       in
       let revalidated, evicted = Lru.Sync.remap t.cache ~prefix revalidate in
+      let cell =
+        Atomic.make (if t.config.compiled_capacity > 0 then Some artifact else None)
+      in
       Atomic.set t.resident
-        (Some { kb = kb_new; digest = after; conjuncts = conjuncts' });
+        (Some { kb = kb_new; digest = after; conjuncts = conjuncts'; artifact = cell });
       record ~digest:after ~changed:true ~revalidated ~evicted
         ~artifact:(if carried then "carried" else "recompiled"))
 
@@ -795,7 +792,8 @@ let batch_srcs ?budget t srcs =
 (* ------------------------------------------------------------------ *)
 
 type compiled_stats = {
-  compiled_cache : Lru.stats;
+  hits : int;
+  misses : int;
   compiles : int;
   compile_ms_total : float;
 }
@@ -841,7 +839,8 @@ let stats (t : t) =
     cache = Lru.Sync.stats t.cache;
     compiled =
       {
-        compiled_cache = Lru.Sync.stats t.compiled;
+        hits = Atomic.get t.artifact_hits;
+        misses = Atomic.get t.artifact_misses;
         compiles = Atomic.get t.compiles;
         compile_ms_total =
           Mutex.protect t.compile_m (fun () -> t.compile_ms_total);

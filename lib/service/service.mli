@@ -56,22 +56,21 @@
     probes take only nanosecond-scale index locks — a parallel
     {!batch} write-through is safe at any width.
 
-    {b The compiled-KB tier.} Orthogonal to the answer caches: a
-    bounded LRU of {!Rw_compile.Compiled_kb.t} artifacts keyed by
-    canonical KB digest. Answer caches make {e repeated questions}
-    free; the compiled tier makes {e distinct questions against the
-    same KB} cheap, by keeping the KB's one artifact (vocabulary,
-    statistical index, memoised maxent solves, profile tables)
-    resident across every query that misses the answer tiers. The
-    first query against a KB compiles it — the syntactic pass only,
-    outside the request budget, so an artifact warms however short
-    the budget; under a parallel batch a mutex makes compilation
-    happen exactly once per KB. A solve that runs out of budget leaves
-    the artifact resident and its finished cells filled. An injected
+    {b The compiled-KB artifact.} Orthogonal to the answer caches:
+    each resident KB snapshot owns one {!Rw_compile.Compiled_kb.t}
+    (vocabulary, statistical index, memoised maxent solves, profile
+    tables). Answer caches make {e repeated questions} free; the
+    artifact makes {e distinct questions against the same KB} cheap.
+    The first dispatch against a snapshot compiles it — the syntactic
+    pass only, outside the request budget, so an artifact warms
+    however short the budget; under a parallel batch a mutex makes
+    compilation happen exactly once per snapshot. {!update} hands the
+    carried or recompiled artifact to the next snapshot; a query
+    still answering for a superseded snapshot compiles into that
+    snapshot's own artifact, which dies with it. A solve that runs out
+    of budget leaves the artifact's finished cells filled. An injected
     compile failure (fault point [compile.kb]) fails that query with
-    an error and caches nothing. [compiled_capacity = 0] keeps no
-    artifact resident: every dispatch compiles afresh, with identical
-    answers.
+    an error and caches nothing.
 
     {b Belief-change sessions.} A loaded KB is a live object:
     {!update} asserts or retracts statements (at conjunct granularity,
@@ -102,8 +101,9 @@ open Randworlds
 type config = {
   cache_capacity : int;  (** LRU entries; [0] disables caching *)
   compiled_capacity : int;
-      (** compiled-KB artifacts kept resident (one per KB digest);
-          [0] keeps none — every dispatch compiles afresh *)
+      (** [0] keeps no compiled artifact, so every dispatch compiles
+          afresh (identical answers); any positive value keeps the
+          snapshot's one artifact. Negative raises [Invalid_argument]. *)
   parallel_threshold : int;
       (** batches shorter than this run sequentially even on a
           service with a pool: the hand-off costs more than the work *)
@@ -112,8 +112,8 @@ type config = {
 }
 
 val default_config : config
-(** 1024 cache entries, 8 compiled artifacts, parallel threshold 8,
-    no budget, {!Engine.default_options}. *)
+(** 1024 cache entries, compiled artifact kept ([compiled_capacity =
+    1]), parallel threshold 8, no budget, {!Engine.default_options}. *)
 
 type t
 
@@ -142,11 +142,12 @@ val pool : t -> Rw_pool.Pool.t option
 
 val load_kb : t -> Syntax.formula -> unit
 (** Install an (assumed well-formed) KB, digesting it once. When this
-    {e replaces} a different KB, every answer-cache entry and compiled
-    artifact of the old digest is reclaimed immediately (counted in
-    [Lru.stats.removed] and the session's [swap_reclaimed]) — they are
-    unreachable under the new digest and would otherwise squat on
-    cache capacity. Reloading the same KB keeps everything. *)
+    {e replaces} a different KB, every answer-cache entry of the old
+    digest is reclaimed immediately (counted in [Lru.stats.removed]
+    and the session's [swap_reclaimed]) — they are unreachable under
+    the new digest and would otherwise squat on cache capacity.
+    Reloading the same KB keeps them, and the very same formula keeps
+    its artifact. *)
 
 val load_kb_string : t -> string -> (unit, string) result
 (** Parse ({!Kb_file.of_string}) + validate + install. The error
@@ -159,15 +160,15 @@ val load_kb_file : t -> string -> (unit, string) result
 val kb : t -> Syntax.formula option
 
 val artifact : t -> Rw_compile.Compiled_kb.t option
-(** The loaded KB's resident compiled artifact, if one is resident —
-    for inspecting which solve cells it holds. Counted as a probe of
-    the compiled tier. *)
+(** The resident snapshot's compiled artifact, once filled — for
+    inspecting which solve cells it holds. Always [None] when
+    [compiled_capacity = 0]. *)
 
 val evict_all : t -> int * int
-(** Flush both memory tiers: every answer-cache entry and every
-    compiled-KB artifact, regardless of digest. Returns
-    [(answers_dropped, artifacts_dropped)], counted in
-    [Lru.stats.removed]. The durable store is untouched — subsequent
+(** Flush both memory tiers: every answer-cache entry, regardless of
+    digest (counted in [Lru.stats.removed]), and the resident
+    snapshot's artifact. Returns [(answers_dropped, artifacts_dropped)],
+    the latter [0] or [1]. The durable store is untouched — subsequent
     queries re-probe it (or recompute) and serve identical answers;
     the simulator's [evict] op exists to check exactly that. *)
 
@@ -307,11 +308,10 @@ type latency_summary = {
 }
 
 type compiled_stats = {
-  compiled_cache : Lru.stats;
-      (** hits = queries that reused a resident artifact; misses =
-          compiles (plus re-probes that lost the compile-once race);
-          evictions from the bounded artifact LRU *)
-  compiles : int;  (** artifacts actually compiled *)
+  hits : int;  (** dispatches that found their snapshot's artifact *)
+  misses : int;  (** dispatches that compiled it *)
+  compiles : int;
+      (** artifacts compiled: [misses] plus {!update} recompiles *)
   compile_ms_total : float;  (** wall-clock spent compiling, summed *)
 }
 
@@ -328,7 +328,7 @@ type session_stats = {
 
 type stats = {
   cache : Lru.stats;
-  compiled : compiled_stats;  (** the compiled-KB tier's counters *)
+  compiled : compiled_stats;  (** the compiled artifacts' counters *)
   engines : Instr.entry list;
       (** per-engine dispatch counts and wall-clock (process-global,
           merged across domains — see {!Instr}) *)

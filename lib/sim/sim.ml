@@ -34,7 +34,7 @@ let sim_options =
 let sim_config =
   {
     Service.cache_capacity = 4096;
-    compiled_capacity = 4;
+    compiled_capacity = 1;
     parallel_threshold = 4;
     budget = None;
     engine_options = sim_options;

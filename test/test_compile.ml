@@ -1,6 +1,6 @@
 (* Tests for the compiled-KB subsystem: artifact identity (digests),
    answer invariance (a shared artifact vs one compiled per call), the
-   service's bounded artifact cache and its eviction, compile-once
+   service snapshot's artifact and its replacement, compile-once
    under a parallel batch, and the compiled-kb trace provenance
    fact. *)
 
@@ -135,19 +135,17 @@ let test_foreign_artifact_ignored () =
       guarded.Answer.result
 
 (* ------------------------------------------------------------------ *)
-(* Service artifact cache                                             *)
+(* Service artifact                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let compiled_stats svc = (Service.stats svc).Service.compiled
 
-(* A capacity-1 artifact cache alternating between two KBs must drop
-   the resident artifact and recompile each time the KB changes — and
-   keep answering correctly throughout.  Since the load_kb squatting
-   fix the stale artifact is reclaimed eagerly on swap (counted in
-   [removed]) rather than lingering until a capacity eviction. *)
+(* A service alternating between two KBs must drop the old snapshot's
+   artifact and recompile each time the KB changes — and keep
+   answering correctly throughout. *)
 let test_eviction () =
   (* The answer LRU is disabled so the repeated question actually
-     reaches the compiled tier instead of being served from the answer
+     reaches the artifact instead of being served from the answer
      cache. *)
   let config =
     {
@@ -169,12 +167,6 @@ let test_eviction () =
   let a2 = ask kb_a in
   let c = compiled_stats svc in
   Alcotest.(check int) "three compiles (kb_a evicted between)" 3 c.Service.compiles;
-  Alcotest.(check int) "swap reclaims, not capacity evictions" 0
-    c.Service.compiled_cache.Rw_service.Lru.evictions;
-  Alcotest.(check int) "two stale artifacts reclaimed on swap" 2
-    c.Service.compiled_cache.Rw_service.Lru.removed;
-  Alcotest.(check int) "capacity one" 1
-    c.Service.compiled_cache.Rw_service.Lru.capacity;
   (* The recompiled artifact answers exactly as the first one did. *)
   if not (result_eq a1.Answer.result a2.Answer.result) then
     Alcotest.fail "recompile after eviction changed the answer";
@@ -204,8 +196,8 @@ let test_disabled_tier () =
           Answer.pp_result a.Answer.result Answer.pp_result b.Answer.result;
       Alcotest.(check string) (q ^ ": same engine") b.Answer.engine
         a.Answer.engine;
-      Alcotest.(check int) (q ^ ": nothing resident") 0
-        (compiled_stats svc).Service.compiled_cache.Rw_service.Lru.size)
+      Alcotest.(check bool) (q ^ ": nothing resident") true
+        (Option.is_none (Service.artifact svc)))
     [ "Fly(Tweety)"; "~Fly(Tweety)"; "Fly(Opus)" ]
 
 (* ------------------------------------------------------------------ *)

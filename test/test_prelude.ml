@@ -163,6 +163,31 @@ let prop_logspace_add_commutative =
       let got = Logspace.(to_float (add (of_float a) (of_float b))) in
       Float.abs (got -. (a +. b)) <= 1e-6 *. (1.0 +. a +. b))
 
+(* The shortest round-trip printer behind both the JSON encoder and the
+   formula pretty-printer, pinned byte for byte through each caller.
+   Each caller keeps its own form for integral values below 1e15
+   (here -0.0); 2^53 + 1 rounds to the integral 2^53, which is past
+   1e15 and so goes through the shared printer in both. *)
+let test_shortest_repr () =
+  List.iter
+    (fun (name, x, json, formula) ->
+      Alcotest.(check string) (name ^ " as JSON") json
+        (Rw_service.Json.to_string (Rw_service.Json.Float x));
+      Alcotest.(check string) (name ^ " in a formula") formula
+        (Fmt.str "%a" Rw_logic.Pretty.pp_proportion (Rw_logic.Syntax.Num x));
+      if Float.abs x >= 1e15 || not (Float.is_integer x) then
+        Alcotest.(check string) (name ^ " shortest") json (Floats.shortest_repr x))
+    [
+      ("0.1", 0.1, "0.1", "0.1");
+      ("1/3", 1.0 /. 3.0, "0.3333333333333333", "0.3333333333333333");
+      ("0.8", 0.8, "0.8", "0.8");
+      ("1e-300", 1e-300, "1e-300", "1e-300");
+      ("smallest subnormal", Int64.float_of_bits 1L, "5e-324", "5e-324");
+      ("-0.0", -0.0, "-0.0", "0");
+      ("1e15+0.5", 1e15 +. 0.5, "1000000000000000.5", "1000000000000000.5");
+      ("2^53+1", (2.0 ** 53.0) +. 1.0, "9007199254740992", "9007199254740992");
+    ]
+
 let prop_simplex_like_compositions =
   QCheck.Test.make ~name:"compositions count matches binomial"
     QCheck.(pair (int_range 0 12) (int_range 1 4))
@@ -192,4 +217,6 @@ let suite =
     ("listx.misc", `Quick, test_misc_lists);
     q prop_logspace_add_commutative;
     q prop_simplex_like_compositions;
+    ("floats.shortest_repr: JSON and formula printers", `Quick,
+     test_shortest_repr);
   ]

@@ -775,23 +775,25 @@ let test_server_errors_and_shutdown () =
 
 (* The raw API under concurrent updates. Two domains query a fixed set
    while a third asserts and retracts an overlapping statement 200
-   times. Each query answers for the one snapshot it read, so every
-   answer must be one of the two states' sequential answers. Afterwards
-   each state, queried again from its cache, must give exactly its own
-   answers: no answer was filed under the other state's digest. *)
-let test_concurrent_updates_answer_one_state () =
-  let qs =
-    List.map parse
-      [ "Hep(Eric)"; "~Hep(Eric)"; "Hep(Dana)"; "Jaun(Dana)";
-        "Hep(Dana) /\\ Jaun(Dana)" ]
-  in
-  let delta = "Jaun(Dana)" in
-  let answers svc = List.map (fun q -> fst (ask svc q)) qs in
-  let ref_a = answers (hep_service ()) in
+   times. Returns the service, the queries' sequential answers at the
+   two states, each querier's (rounds, strays) — a stray is an answer
+   that is neither state's — and whether each update changed the KB. *)
+let race_queries =
+  [ "Hep(Eric)"; "~Hep(Eric)"; "Hep(Dana)"; "Jaun(Dana)";
+    "Hep(Dana) /\\ Jaun(Dana)" ]
+
+let race_delta = "Jaun(Dana)"
+
+let race_answers svc =
+  List.map (fun q -> fst (ask svc (parse q))) race_queries
+
+let race_updates () =
+  let qs = List.map parse race_queries in
+  let ref_a = race_answers (hep_service ()) in
   let ref_b =
     let svc = hep_service () in
-    ignore (upd svc Service.Assert delta);
-    answers svc
+    ignore (upd svc Service.Assert race_delta);
+    race_answers svc
   in
   Alcotest.(check bool) "the delta moves some answer" true (ref_a <> ref_b);
   let svc = hep_service () in
@@ -819,23 +821,90 @@ let test_concurrent_updates_answer_one_state () =
     Domain.spawn (fun () ->
         List.init 200 (fun i ->
             let action = if i mod 2 = 0 then Service.Assert else Service.Retract in
-            match Service.update svc action (parse delta) with
+            match Service.update svc action (parse race_delta) with
             | Ok ev -> ev.Service.changed
             | Error _ -> false))
   in
   let changed = Domain.join updater in
   Atomic.set stop true;
+  (svc, ref_a, ref_b, List.map Domain.join queriers, changed)
+
+(* Each query answers for the one snapshot it read, so every answer
+   must be one of the two states' sequential answers. Afterwards each
+   state, queried again from its cache, must give exactly its own
+   answers: no answer was filed under the other state's digest. *)
+let test_concurrent_updates_answer_one_state () =
+  let svc, ref_a, ref_b, queriers, changed = race_updates () in
   List.iter
-    (fun d ->
-      let rounds, strays = Domain.join d in
+    (fun (rounds, strays) ->
       Alcotest.(check bool) "querier ran" true (rounds > 0);
       Alcotest.(check (list string)) "every answer is one state's" [] strays)
     queriers;
   Alcotest.(check int) "all 200 updates changed the KB" 200
     (List.length (List.filter Fun.id changed));
-  Alcotest.(check bool) "state A again: its own answers" true (answers svc = ref_a);
-  ignore (upd svc Service.Assert delta);
-  Alcotest.(check bool) "state B again: its own answers" true (answers svc = ref_b)
+  Alcotest.(check bool) "state A again: its own answers" true
+    (race_answers svc = ref_a);
+  ignore (upd svc Service.Assert race_delta);
+  Alcotest.(check bool) "state B again: its own answers" true
+    (race_answers svc = ref_b)
+
+(* A query racing an update compiles into its own, superseded
+   snapshot's artifact, which dies with that snapshot: after the race
+   the service holds at most the resident snapshot's one artifact. *)
+let test_race_leaves_one_artifact () =
+  let svc, _, _, _, _ = race_updates () in
+  let _, artifacts = Service.evict_all svc in
+  Alcotest.(check bool)
+    (Printf.sprintf "evict_all dropped %d artifacts, at most one" artifacts)
+    true (artifacts <= 1)
+
+(* The stdio loop frames like the listener: a line at the cap is
+   served, and a line of [max_line_bytes + 1] bytes gets the error reply
+   and ends the session, so the request after it is never read. *)
+let test_server_stdio_oversized_line () =
+  let stats = {|{"op":"stats"|} in
+  let at_cap =
+    stats ^ String.make (Server.max_line_bytes - String.length stats - 1) ' '
+    ^ "}"
+  in
+  let lines =
+    [ at_cap; String.make (Server.max_line_bytes + 1) 'x'; {|{"op":"stats"}|} ]
+  in
+  let in_file = Filename.temp_file "rw_serve" ".in" in
+  let out_file = Filename.temp_file "rw_serve" ".out" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove in_file;
+      Sys.remove out_file)
+  @@ fun () ->
+  Out_channel.with_open_bin in_file (fun oc ->
+      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
+  let status =
+    In_channel.with_open_bin in_file (fun ic ->
+        Out_channel.with_open_bin out_file (fun oc ->
+            Server.run ~ic ~oc (Service.create ())))
+  in
+  Alcotest.(check int) "an oversized line ends the session with 1" 1 status;
+  match
+    List.map
+      (fun l ->
+        match Json.of_string l with
+        | Ok j -> j
+        | Error msg -> Alcotest.failf "reply does not parse: %s" msg)
+      (In_channel.with_open_bin out_file In_channel.input_lines)
+  with
+  | [ served; refused ] ->
+    Alcotest.(check bool) "the line at the cap is served" true
+      (get_bool "ok" served);
+    Alcotest.(check bool) "the oversized line is ok:false" false
+      (get_bool "ok" refused);
+    Alcotest.(check bool) "it names the limit" true
+      (match Json.member "error" refused with
+      | Some (Json.String e) ->
+        String.starts_with ~prefix:"request line exceeds" e
+      | _ -> false)
+  | replies ->
+    Alcotest.failf "expected 2 replies, got %d" (List.length replies)
 
 (* Belief change over the durable tier: an assert/retract walk of a
    disjoint fact flips the KB between two digests, and every update
@@ -928,6 +997,10 @@ let suite =
      test_session_provenance_bounded);
     ("session: queries racing 200 updates each answer for one state", `Quick,
      test_concurrent_updates_answer_one_state);
+    ("session: after racing updates at most one artifact is held", `Quick,
+     test_race_leaves_one_artifact);
     ("session: an assert/retract walk leaves no dead store records", `Quick,
      test_session_walk_store_dedupes);
+    ("server: a stdio line over max_line_bytes ends the session", `Quick,
+     test_server_stdio_oversized_line);
   ]
