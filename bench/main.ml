@@ -969,7 +969,6 @@ let table_parallel () =
       Rw_mc.Estimator.default_config with
       Rw_mc.Estimator.max_samples = 262_144;
       target_halfwidth = 0.0;
-      max_seconds = 300.0;
     }
   in
   let run_mc pool =

@@ -160,7 +160,10 @@ let samples_arg =
     value
     & opt (some int) None
     & info [ "samples" ] ~docv:"INT"
-        ~doc:"Monte-Carlo sample budget (worlds drawn per grid point).")
+        ~doc:
+          "Monte-Carlo sample budget (worlds drawn per grid point). Large \
+           worlds clamp it: at most 2^27 / cells samples, where cells \
+           counts one world's table entries.")
 
 let ci_width_arg =
   Arg.(

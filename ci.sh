@@ -13,10 +13,17 @@ dune runtest
 dune exec bin/rw.exe -- zoo | diff -u test/golden/zoo.txt - \
   || { echo "ci: rw zoo output differs from test/golden/zoo.txt" >&2; exit 1; }
 
-# Smoke: one explicit Monte-Carlo query, reproducible from its seed.
-dune exec bin/rw.exe -- query \
+# Smoke: one explicit Monte-Carlo query on its default budget, the
+# same at any pool width — no stop reads a clock, so whatever ends the
+# run ends it at the same round at --jobs 1 and --jobs 2.
+mc1=$(dune exec bin/rw.exe -- query \
   --kb examples/kb/hepatitis.kb --query 'Hep(Eric)' \
-  --engine mc --seed 1 > /dev/null
+  --engine mc --seed 1 --jobs 1)
+mc2=$(dune exec bin/rw.exe -- query \
+  --kb examples/kb/hepatitis.kb --query 'Hep(Eric)' \
+  --engine mc --seed 1 --jobs 2)
+[ "$mc1" = "$mc2" ] \
+  || { echo "ci: default-budget mc answer depends on --jobs" >&2; exit 1; }
 
 # Differential fuzz: a fixed-seed budgeted sweep of the metamorphic
 # oracle suite (engine agreement, duality, canonicalization, cache,

@@ -6,7 +6,9 @@
     random-worlds definition ratios over), keep those satisfying the
     KB, and report the fraction also satisfying the query. Batches are
     adaptive: sampling continues until the 95% interval is narrower
-    than a target half-width or a sample / wall-time budget runs out.
+    than a target half-width or a sample budget runs out; the budget
+    is clamped by a work cap that scales with the world's size, so
+    every stop is a function of the inputs and the seed.
 
     KBs whose models are a vanishing fraction of all worlds (a sharp
     statistical constraint at large [N] concentrates on exponentially
@@ -26,34 +28,44 @@ open Rw_prelude
 
 type config = {
   target_halfwidth : float;  (** stop when the CI half-width is below *)
-  z : float;  (** normal quantile for the interval (1.96 ≈ 95%) *)
-  batch : int;  (** samples per chunk (the unit of parallel work) *)
   max_samples : int;  (** total sample budget *)
-  max_seconds : float;  (** wall-time budget *)
   min_hits : int;  (** KB hits required before trusting the CI *)
-  warmup : int;  (** uniform samples before judging the hit rate *)
-  stratify_below : float;
-      (** switch to the tilted proposal when the uniform KB hit rate
-          falls below this after warmup (unary vocabularies only) *)
   give_up_after : int;
-      (** declare starvation once this many samples (or a quarter of
-          the time budget) produced no KB hit at all (after any
-          stratified switch) — keeps hopeless rejection runs cheap for
-          grid searches *)
+      (** declare starvation once this many samples produced no KB hit
+          at all (after any stratified switch) — keeps hopeless
+          rejection runs cheap for grid searches *)
 }
 
 let default_config =
   {
     target_halfwidth = 0.02;
-    z = 1.96;
-    batch = 512;
     max_samples = 400_000;
-    max_seconds = 10.0;
     min_hits = 40;
-    warmup = 3_000;
-    stratify_below = 0.01;
     give_up_after = 50_000;
   }
+
+(* Fixed sampling constants: the interval's normal quantile (≈ 95%),
+   samples per chunk (the unit of parallel work), uniform samples
+   before judging the hit rate, and the uniform KB hit rate below which
+   a unary vocabulary switches to the tilted proposal. *)
+let z = 1.96
+and batch = 512
+and warmup = 3_000
+and stratify_below = 0.01
+
+(* The work cap: a run draws at most [work_cap / cells] samples and
+   gives up hitless at a quarter of that, so large worlds get
+   proportionally fewer samples and the bound depends on the inputs
+   alone. 2^27 holds the late-risers vocabulary (Example 5.14, 2 080
+   cells at N = 32) to 65 536 samples, about 10 s on a 2-vCPU box. *)
+let work_cap = 1 lsl 27
+
+(* The random table entries of one world of size [n]: every
+   predicate's and every non-constant function's. *)
+let cells (vocab : Vocab.t) n =
+  let size acc (_, arity) = acc + World.table_size n arity in
+  List.fold_left size 0 vocab.Vocab.preds
+  + List.fold_left size 0 (List.filter (fun (_, a) -> a > 0) vocab.Vocab.funcs)
 
 type stats = {
   seed : int;
@@ -180,7 +192,7 @@ let accum_interval ~z acc =
   let p_hat = if acc.w_kb > 0.0 then acc.w_both /. acc.w_kb else Float.nan in
   wilson ~z ~hits:(p_hat *. n_eff) ~total:n_eff
 
-(* The unit of scheduling is a {e chunk} of [config.batch] samples; a
+(* The unit of scheduling is a {e chunk} of [batch] samples; a
    {e round} is up to [chunks_per_round] chunks drawn between stopping
    / stratification checks. Rounds — not domains — are the grain of
    determinism: every chunk owns a generator split off the master
@@ -203,13 +215,12 @@ let chunks_per_round = 16
    hits and a junk interval, while the tilt — which hits the same KBs
    at ~10% — sat unused). Scaling the warmup reserves at least three
    quarters of small budgets for the tilted phase. *)
-let effective_warmup config =
-  min config.warmup (max 1 (config.max_samples / 4))
+let effective_warmup config = min warmup (max 1 (config.max_samples / 4))
 
 (** [estimate ?config ?pool ?tilt_solve ~seed ~vocab ~n ~tol ~kb query]
     — the adaptive Monte-Carlo estimate of [Pr_N^τ̄(query | kb)].
-    Deterministic in [seed] at any pool width (up to the wall-time
-    budget). [tilt_solve] overrides the maxent solve behind the tilted
+    Deterministic in [seed] at any pool width and any load.
+    [tilt_solve] overrides the maxent solve behind the tilted
     proposal (see {!tilted_proposal}). Raises [Invalid_argument] when
     the vocabulary does not cover both sentences. *)
 let estimate ?(config = default_config) ?pool ?tilt_solve ~seed ~vocab ~n ~tol
@@ -218,7 +229,10 @@ let estimate ?(config = default_config) ?pool ?tilt_solve ~seed ~vocab ~n ~tol
     invalid_arg "Estimator.estimate: vocabulary does not cover formulas";
   let master = Prng.create seed in
   let t0 = Rw_prelude.Clock.now () in
-  let elapsed () = Rw_prelude.Clock.now () -. t0 in
+  (* The work cap, checked at round boundaries like every other stop. *)
+  let cells = max 1 (cells vocab n) in
+  let sample_cap = min config.max_samples (work_cap / cells)
+  and hitless_cap = min config.give_up_after (work_cap / 4 / cells) in
   let total_samples = ref 0 and total_hits = ref 0 in
   let uniform_acc = fresh_accum () in
   (* [proposal = None] while sampling uniformly. *)
@@ -270,7 +284,7 @@ let estimate ?(config = default_config) ?pool ?tilt_solve ~seed ~vocab ~n ~tol
          first round boundary already lands past the warmup. *)
       if
         Option.is_none prop
-        && config.max_samples <= chunks_per_round * config.batch
+        && config.max_samples <= chunks_per_round * batch
         && !total_samples < warmup
       then warmup - !total_samples
       else config.max_samples - !total_samples
@@ -278,7 +292,7 @@ let estimate ?(config = default_config) ?pool ?tilt_solve ~seed ~vocab ~n ~tol
     let rec specs remaining k =
       if k = 0 || remaining <= 0 then []
       else
-        let size = min config.batch remaining in
+        let size = min batch remaining in
         let rng = Prng.split master in
         (size, rng, prop) :: specs (remaining - size) (k - 1)
     in
@@ -300,7 +314,7 @@ let estimate ?(config = default_config) ?pool ?tilt_solve ~seed ~vocab ~n ~tol
   let maybe_stratify () =
     if Option.is_none !proposal && !total_samples >= warmup then begin
       let rate = float_of_int !total_hits /. float_of_int !total_samples in
-      if rate < config.stratify_below then
+      if rate < stratify_below then
         match tilted_proposal ?solve:tilt_solve ~vocab ~tol kb with
         | Some prop ->
           (* Restart the accumulators: mixing unweighted and weighted
@@ -322,7 +336,7 @@ let estimate ?(config = default_config) ?pool ?tilt_solve ~seed ~vocab ~n ~tol
          else float_of_int !total_hits /. float_of_int !total_samples);
       ess = ess !acc;
       stratified = Option.is_some !proposal;
-      seconds = elapsed ();
+      seconds = Rw_prelude.Clock.now () -. t0;
     }
   in
   let finish () =
@@ -331,7 +345,7 @@ let estimate ?(config = default_config) ?pool ?tilt_solve ~seed ~vocab ~n ~tol
     let best = if !acc.hits > 0 then !acc else uniform_acc in
     if best.hits = 0 then Starved (stats ())
     else begin
-      let mean, ci = accum_interval ~z:config.z best in
+      let mean, ci = accum_interval ~z best in
       (* Importance-weight collapse: hits happened but every weight
          underflowed to 0 (or the effective sample size did), so the
          ratio Σw_both/Σw_kb is 0/0. There is no estimate to report —
@@ -354,19 +368,16 @@ let estimate ?(config = default_config) ?pool ?tilt_solve ~seed ~vocab ~n ~tol
   in
   let rec loop () =
     if
-      !total_samples >= config.max_samples
-      || elapsed () >= config.max_seconds
+      !total_samples >= sample_cap
       (* The stratified switch (if available) happened back at warmup,
          so a still-empty run this deep is hopeless either way. *)
-      || (!total_hits = 0
-         && (!total_samples >= config.give_up_after
-            || elapsed () >= config.max_seconds /. 4.0))
+      || (!total_hits = 0 && !total_samples >= hitless_cap)
     then finish ()
     else begin
       draw_round ();
       maybe_stratify ();
       if !acc.hits >= config.min_hits then begin
-        let _, ci = accum_interval ~z:config.z !acc in
+        let _, ci = accum_interval ~z !acc in
         if Interval.width ci /. 2.0 <= config.target_halfwidth then finish ()
         else loop ()
       end

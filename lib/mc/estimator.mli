@@ -14,20 +14,13 @@ open Rw_prelude
 
 type config = {
   target_halfwidth : float;  (** stop when the CI half-width is below *)
-  z : float;  (** normal quantile for the interval (1.96 ≈ 95%) *)
-  batch : int;  (** samples per chunk (the unit of parallel work) *)
-  max_samples : int;  (** total sample budget *)
-  max_seconds : float;  (** wall-time budget *)
+  max_samples : int;
+      (** total sample budget, clamped by the work cap (see {!estimate}) *)
   min_hits : int;  (** KB hits required before trusting the CI *)
-  warmup : int;  (** uniform samples before judging the hit rate *)
-  stratify_below : float;
-      (** switch to the tilted proposal when the uniform KB hit rate
-          falls below this after warmup (unary vocabularies only) *)
   give_up_after : int;
-      (** declare starvation once this many samples (or a quarter of
-          the time budget) produced no KB hit at all (after any
-          stratified switch) — keeps hopeless rejection runs cheap for
-          grid searches *)
+      (** declare starvation once this many samples produced no KB hit
+          at all (after any stratified switch) — keeps hopeless
+          rejection runs cheap for grid searches *)
 }
 
 val default_config : config
@@ -80,14 +73,22 @@ val estimate :
     proposal from (a compiled KB passes its memoised point, lifted);
     the proposal is the direct solve's up to rounding.
 
-    Sampling is sharded into fixed-size chunks ([config.batch]
-    samples), each with a generator split off the master stream {e per
-    chunk, not per domain}, a private scratch world, and a private
-    accumulator merged back in chunk order; adaptive decisions happen
-    only at fixed round boundaries. [?pool] therefore changes where
-    chunks execute but not the result: the outcome is bit-identical at
-    any pool width, and deterministic in [seed] (up to the wall-time
-    budget). The per-sample loop polls {!Rw_pool.Budget.check}, so
-    service deadlines unwind from worker domains too. Raises
-    [Invalid_argument] when the vocabulary does not cover both
-    sentences. *)
+    Every stop is a function of the inputs and [seed]: besides the
+    interval target and [config], a work cap bounds a run to
+    [2^27 / cells] samples and a hitless run to a quarter of that,
+    where [cells] counts the table entries of one world (every
+    predicate's and non-constant function's at size [n]). Like every
+    stop it is checked at round boundaries of 8 192 samples, so a run
+    it ends reports the cap rounded up to the next round. No stop reads
+    a clock; [stats.seconds] is reported evidence only.
+
+    Sampling is sharded into fixed-size chunks (512 samples), each
+    with a generator split off the master stream {e per chunk, not per
+    domain}, a private scratch world, and a private accumulator merged
+    back in chunk order; adaptive decisions happen only at fixed round
+    boundaries. [?pool] therefore changes where chunks execute but not
+    the result: the outcome is bit-identical at any pool width and any
+    load, and deterministic in [seed]. The per-sample loop polls
+    {!Rw_pool.Budget.check}, so service deadlines unwind from worker
+    domains too. Raises [Invalid_argument] when the vocabulary does not
+    cover both sentences. *)

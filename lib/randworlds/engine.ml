@@ -326,7 +326,6 @@ and cross_check ~options ~trace ~vocab ~kb query answer =
             Rw_mc.Estimator.default_config with
             Rw_mc.Estimator.max_samples = 20_000;
             target_halfwidth = 0.05;
-            max_seconds = 1.0;
           }
         in
         (match

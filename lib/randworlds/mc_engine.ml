@@ -6,7 +6,10 @@
     orders of magnitude beyond [max_log10_worlds] on any vocabulary.
     Every answer carries its evidence (samples, KB hit rate, effective
     sample size, seed, wall time) in its notes, and its result is the
-    95% confidence interval, never a bare point. *)
+    95% confidence interval, never a bare point. No stop reads a clock:
+    the sample budget is clamped by a work cap that shrinks as worlds
+    grow ({!Rw_mc.Estimator.estimate}), so an answer depends only on
+    its inputs and seed, never on load. *)
 
 open Rw_logic
 open Rw_prelude

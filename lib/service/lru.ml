@@ -150,17 +150,6 @@ let stats (t : _ t) =
     capacity = t.capacity;
   }
 
-let clear (t : _ t) =
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None
-
-let reset_stats (t : _ t) =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0;
-  t.removed <- 0
-
 (* The mutex-guarded wrapper: every operation — including [find], which
    rewires the recency list and bumps counters — runs under one lock.
    Coarse by design: operations are O(1) hash/list work, so the lock is
@@ -171,10 +160,7 @@ module Sync = struct
   let create ~capacity = { m = Mutex.create (); c = create ~capacity }
   let find t key = Mutex.protect t.m (fun () -> find t.c key)
   let add t key value = Mutex.protect t.m (fun () -> add t.c key value)
-  let mem t key = Mutex.protect t.m (fun () -> mem t.c key)
   let remove_if t p = Mutex.protect t.m (fun () -> remove_if t.c p)
   let remap t ~prefix f = Mutex.protect t.m (fun () -> remap t.c ~prefix f)
   let stats t = Mutex.protect t.m (fun () -> stats t.c)
-  let clear t = Mutex.protect t.m (fun () -> clear t.c)
-  let reset_stats t = Mutex.protect t.m (fun () -> reset_stats t.c)
 end

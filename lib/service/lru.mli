@@ -60,13 +60,6 @@ val remap : 'v t -> prefix:string -> (string -> 'v -> (string * 'v) option) -> i
 
 val stats : 'v t -> stats
 
-val clear : 'v t -> unit
-(** Drop every entry; counters keep accumulating (cleared entries are
-    not evictions). *)
-
-val reset_stats : 'v t -> unit
-(** Zero the hit/miss/eviction counters, keeping entries. *)
-
 (** The domain-safe cache: the same structure and counters behind one
     mutex. Each operation is individually atomic; sequences are not
     (two domains may both miss one key and both compute — benign for a
@@ -78,7 +71,6 @@ module Sync : sig
   val create : capacity:int -> 'v t
   val find : 'v t -> string -> 'v option
   val add : 'v t -> string -> 'v -> unit
-  val mem : 'v t -> string -> bool
 
   val remove_if : 'v t -> (string -> 'v -> bool) -> int
   (** Runs under the lock: the predicate must not call back into the
@@ -90,6 +82,4 @@ module Sync : sig
       cache. *)
 
   val stats : 'v t -> stats
-  val clear : 'v t -> unit
-  val reset_stats : 'v t -> unit
 end

@@ -69,8 +69,9 @@ let analyze ?(extra_preds = []) kb =
   }
 
 (** [widen parts preds] — the analysis over the universe that adds
-    [preds]. [classify] evaluates a conjunct at atom 0 only, so
-    predicates it does not mention cannot change its class. *)
+    [preds]. [classify] requires every leaf's predicate to be in the
+    universe ({!Atoms.is_boolean_over}), and a KB's own predicates
+    always are, so added predicates cannot change a conjunct's class. *)
 let widen parts preds =
   let known = Atoms.predicates parts.universe in
   if List.for_all (fun p -> List.mem p known) preds then parts

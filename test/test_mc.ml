@@ -236,6 +236,43 @@ let test_estimator_deterministic () =
       s2.Rw_mc.Estimator.kb_hits
   | _ -> Alcotest.fail "estimator starved on an easy KB"
 
+(* The work cap: a 576-cell world (one binary predicate at N = 24)
+   with the default sample budget and no interval target stops at
+   2^27 / 576 samples, rounded up to the next 8 192-sample round — the
+   same count, and the same interval, at any pool width and on every
+   run, because no stop reads a clock. *)
+let test_work_cap () =
+  let kb = parse "R(A,A)" and query = parse "R(A,B)" in
+  let vocab = Vocab.of_formulas [ kb; query ] in
+  let n = 24 and round = 8_192 in
+  let cap = (1 lsl 27) / Rw_model.World.table_size n 2 in
+  let config =
+    { Rw_mc.Estimator.default_config with Rw_mc.Estimator.target_halfwidth = 0.0 }
+  in
+  let run jobs =
+    Rw_pool.Pool.run ~jobs (fun p ->
+        match
+          Rw_mc.Estimator.estimate ~config ~pool:p ~seed:11 ~vocab ~n
+            ~tol:(Tolerance.uniform 0.1) ~kb query
+        with
+        | Rw_mc.Estimator.Estimate { ci; stats; _ } -> (ci, stats)
+        | Rw_mc.Estimator.Starved stats ->
+          Alcotest.failf "starved: %a" Rw_mc.Estimator.pp_stats stats)
+  in
+  let ci1, s1 = run 1 in
+  Alcotest.(check bool) "the cap binds below max_samples" true
+    (cap < config.Rw_mc.Estimator.max_samples);
+  Alcotest.(check int) "samples = the cap rounded up to a round"
+    ((cap + round - 1) / round * round)
+    s1.Rw_mc.Estimator.samples;
+  List.iter
+    (fun (what, (ci, s)) ->
+      Alcotest.(check bool) (what ^ ": same interval") true
+        (Interval.equal ~eps:0.0 ci1 ci);
+      Alcotest.(check int) (what ^ ": same samples") s1.Rw_mc.Estimator.samples
+        s.Rw_mc.Estimator.samples)
+    [ ("jobs 2", run 2); ("repeated", run 1) ]
+
 (* ------------------------------------------------------------------ *)
 (* Stratified rescue and honest starvation                            *)
 (* ------------------------------------------------------------------ *)
@@ -346,4 +383,5 @@ let suite =
     ("estimator.starvation", `Quick, test_hard_kb_starves_quickly);
     ("dispatch.mc_fallback", `Quick, test_dispatch_falls_back_to_mc);
     ("dispatch.enum_cross_check", `Quick, test_dispatch_cross_checks_enum);
+    ("estimator.work_cap", `Quick, test_work_cap);
   ]

@@ -177,7 +177,6 @@ let mc_outcome ~jobs =
       Rw_mc.Estimator.default_config with
       Rw_mc.Estimator.max_samples = 16_384;
       target_halfwidth = 0.0;
-      max_seconds = 300.0;
     }
   in
   let run pool =
